@@ -8,9 +8,9 @@ subtree, not once per occurrence.  This harness builds such a corpus
 
 * **fresh** -- an :func:`alpha_hash_all` pass per corpus item, the
   pre-store behaviour;
-* **store (cold)** -- one :meth:`ExprStore.hash_corpus` over the same
-  corpus with an empty store;
-* **store (warm)** -- the same call again, everything memoised.
+* **store (cold)** -- one memoised :meth:`ExprStore.hash_expr` per item
+  over the same corpus with an empty store;
+* **store (warm)** -- the same loop again, everything memoised.
 
 Run under pytest-benchmark like the rest of the suite, or standalone as
 a CI smoke gate::
@@ -27,8 +27,9 @@ workers on >= 2 CPUs; on fewer CPUs the run is marked
 no engine can parallelise past the hardware).
 
 ``--arena-items N`` adds the arena-kernel gate (the PR-4 acceptance
-bar): on an ``N``-item duplicate-free corpus the arena engine must be
-bit-identical to the tree path and >= 2x faster, single worker --
+bar): on an ``N``-item duplicate-free corpus the arena batch path
+(``ExprStore.hash_corpus``) must be bit-identical to the memoised
+per-item ``hash_expr`` loop and >= 2x faster, single worker --
 unlike the parallel floors this gate has no CPU-count caveat, since
 one worker is one worker on any host.  ``--json-out`` appends the
 measured cells to a JSON trajectory file (see
@@ -52,8 +53,9 @@ from repro.store import ExprStore, parallel_hash_corpus
 #: Fraction of corpus items that repeat or recombine earlier items.
 DUP_FRACTION = 0.6
 
-#: The arena gate: the array kernel must beat the tree walk by this
-#: factor on the smoke corpus, single worker (PR-4 acceptance bar).
+#: The arena gate: the arena batch path must beat the memoised per-item
+#: tree walk by this factor on the smoke corpus, single worker (PR-4
+#: acceptance bar).
 ARENA_SMOKE_FLOOR = 2.0
 
 #: The vec gate: the vectorized kernel must beat the scalar kernel by
@@ -98,6 +100,11 @@ def fresh_hash_corpus(corpus: list[Expr]) -> list[int]:
     return [alpha_hash_all(expr).root_hash for expr in corpus]
 
 
+def memo_hash_corpus(store: ExprStore, corpus: list[Expr]) -> list[int]:
+    """The store's memoised tree walk, one ``hash_expr`` per item."""
+    return [store.hash_expr(expr) for expr in corpus]
+
+
 # ---------------------------------------------------------------------------
 # pytest-benchmark cells
 # ---------------------------------------------------------------------------
@@ -123,22 +130,21 @@ def test_store_rehash_cold(benchmark):
     benchmark.extra_info["corpus_nodes"] = sum(e.size for e in corpus)
 
     def cold():
-        return ExprStore().hash_corpus(corpus, engine="tree")
+        return memo_hash_corpus(ExprStore(), corpus)
 
     benchmark.pedantic(cold, rounds=3, iterations=1, warmup_rounds=1)
     stats = ExprStore()
-    stats.hash_corpus(corpus, engine="tree")
+    memo_hash_corpus(stats, corpus)
     benchmark.extra_info["hit_rate"] = round(stats.stats.hit_rate, 4)
 
 
 def test_store_rehash_warm(benchmark):
     corpus = _bench_corpus()
     store = ExprStore()
-    store.hash_corpus(corpus, engine="tree")
+    memo_hash_corpus(store, corpus)
     benchmark.pedantic(
-        store.hash_corpus,
-        args=(corpus,),
-        kwargs={"engine": "tree"},
+        memo_hash_corpus,
+        args=(store, corpus),
         rounds=3,
         iterations=1,
         warmup_rounds=1,
@@ -174,7 +180,7 @@ def test_session_snapshot_reload(benchmark):
 
 def test_store_matches_fresh():
     corpus = _bench_corpus()
-    assert ExprStore().hash_corpus(corpus, engine="tree") == fresh_hash_corpus(corpus)
+    assert memo_hash_corpus(ExprStore(), corpus) == fresh_hash_corpus(corpus)
     assert Session().hash_corpus(corpus) == fresh_hash_corpus(corpus)
 
 
@@ -202,16 +208,14 @@ def test_arena_rehash_cold(benchmark):
     benchmark.extra_info["corpus_nodes"] = sum(e.size for e in corpus)
 
     def cold():
-        return ExprStore().hash_corpus(corpus, engine="arena")
+        return ExprStore().hash_corpus(corpus)
 
     benchmark.pedantic(cold, rounds=3, iterations=1, warmup_rounds=1)
 
 
 def test_arena_matches_tree():
     corpus = _bench_corpus()
-    assert ExprStore().hash_corpus(corpus, engine="arena") == fresh_hash_corpus(
-        corpus
-    )
+    assert ExprStore().hash_corpus(corpus) == fresh_hash_corpus(corpus)
 
 
 # ---------------------------------------------------------------------------
@@ -235,24 +239,25 @@ def smoke(n_items: int, item_size: int, repeats: int) -> int:
     total_nodes = sum(e.size for e in corpus)
 
     expected = fresh_hash_corpus(corpus)
-    if ExprStore().hash_corpus(corpus, engine="tree") != expected:
+    if memo_hash_corpus(ExprStore(), corpus) != expected:
         print("FAIL: store hashes disagree with fresh AlphaHashes passes")
         return 1
 
-    # engine="tree" throughout: this gate protects the memoised tree
-    # path (the PR-1 claim); the arena engine has its own gate below.
+    # The per-item hash_expr loop throughout: this gate protects the
+    # memoised tree walk (the PR-1 claim); the arena batch path has its
+    # own gate below.
     fresh_time = _best_of(lambda: fresh_hash_corpus(corpus), repeats)
     cold_time = _best_of(
-        lambda: ExprStore().hash_corpus(corpus, engine="tree"), repeats
+        lambda: memo_hash_corpus(ExprStore(), corpus), repeats
     )
     warm_store = ExprStore()
-    warm_store.hash_corpus(corpus, engine="tree")
+    memo_hash_corpus(warm_store, corpus)
     warm_time = _best_of(
-        lambda: warm_store.hash_corpus(corpus, engine="tree"), repeats
+        lambda: memo_hash_corpus(warm_store, corpus), repeats
     )
 
     probe = ExprStore()
-    probe.hash_corpus(corpus, engine="tree")
+    memo_hash_corpus(probe, corpus)
     hit_rate = probe.stats.hit_rate
 
     print(
@@ -325,7 +330,8 @@ def required_speedup(workers: int, cpus: int) -> Optional[float]:
 
 
 def arena_smoke(n_items: int, item_size: int, repeats: int) -> tuple[int, dict]:
-    """Tree walk vs arena kernel: bit-identity always, >= 2x always.
+    """Memoised tree walk vs arena batch path: bit-identity always,
+    >= 2x always.
 
     Single worker on a duplicate-free corpus, so -- unlike the parallel
     floors -- the gate holds on any host shape: the win comes from
@@ -335,14 +341,12 @@ def arena_smoke(n_items: int, item_size: int, repeats: int) -> tuple[int, dict]:
     corpus = make_corpus(n_items, item_size, dup_fraction=0.0, seed=99)
     total_nodes = sum(e.size for e in corpus)
 
-    tree_hashes = ExprStore().hash_corpus(corpus, engine="tree")
-    arena_hashes = ExprStore().hash_corpus(corpus, engine="arena")
+    tree_hashes = memo_hash_corpus(ExprStore(), corpus)
+    arena_hashes = ExprStore().hash_corpus(corpus)
     tree_time = _best_of(
-        lambda: ExprStore().hash_corpus(corpus, engine="tree"), repeats
+        lambda: memo_hash_corpus(ExprStore(), corpus), repeats
     )
-    arena_time = _best_of(
-        lambda: ExprStore().hash_corpus(corpus, engine="arena"), repeats
-    )
+    arena_time = _best_of(lambda: ExprStore().hash_corpus(corpus), repeats)
     speedup = tree_time / arena_time if arena_time else float("inf")
     cell = {
         "items": n_items,
@@ -432,9 +436,9 @@ def parallel_smoke(
 ) -> tuple[int, dict]:
     """Serial-vs-parallel corpus cell: returns (exit_code, measurements).
 
-    The corpus is duplicate-free: the engine deduplicates repeats by
-    object identity before fanning out, so duplicates would measure the
-    dedup dictionary, not the workers.
+    The corpus is duplicate-free: flatten collapses repeats before
+    fanning out, so duplicates would measure the dedup, not the
+    workers.
     """
     cpus = available_cpus()
     corpus = make_corpus(n_items, item_size, dup_fraction=0.0, seed=99)

@@ -13,8 +13,9 @@ Cells:
 
 * ``store``    -- fresh re-hash vs cold vs warm :class:`ExprStore` on a
                   duplicate-heavy corpus (the PR-1 claim, re-measured).
-* ``arena``    -- the tree walk vs the arena kernel
-                  (:mod:`repro.core.arena`) on the 600k-node corpus the
+* ``arena``    -- the memoised per-item tree walk (``hash_expr``) vs
+                  the arena batch path (``ExprStore.hash_corpus``,
+                  :mod:`repro.core.arena`) on the 600k-node corpus the
                   PR-3 parallel cell measured, single worker: compile +
                   kernel wall-clock, bit-identity, dedup ratio.
 * ``vec``      -- the vectorized vs the scalar arena kernel on the same
@@ -60,7 +61,7 @@ import time
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
-from bench_store import make_corpus  # noqa: E402  (sibling module)
+from bench_store import make_corpus, memo_hash_corpus  # noqa: E402  (sibling module)
 
 from repro.api import Session  # noqa: E402
 from repro.core.cpus import available_cpus  # noqa: E402
@@ -87,21 +88,18 @@ def _shm_segments() -> set:
 def store_cell(n_items: int, item_size: int, repeats: int) -> dict:
     corpus = make_corpus(n_items, item_size)
     nodes = sum(e.size for e in corpus)
-    # engine="tree" throughout: the store cell tracks the memoised
-    # tree path (the PR-1 claim); the arena cell owns the array kernel.
+    # The per-item hash_expr loop throughout: the store cell tracks the
+    # memoised tree walk (the PR-1 claim); the arena cell owns the
+    # batch path.
     fresh = _best_of(
         lambda: [alpha_hash_all(e).root_hash for e in corpus], repeats
     )
-    cold = _best_of(
-        lambda: ExprStore().hash_corpus(corpus, engine="tree"), repeats
-    )
+    cold = _best_of(lambda: memo_hash_corpus(ExprStore(), corpus), repeats)
     warm_store = ExprStore()
-    warm_store.hash_corpus(corpus, engine="tree")
-    warm = _best_of(
-        lambda: warm_store.hash_corpus(corpus, engine="tree"), repeats
-    )
+    memo_hash_corpus(warm_store, corpus)
+    warm = _best_of(lambda: memo_hash_corpus(warm_store, corpus), repeats)
     probe = ExprStore()
-    probe.hash_corpus(corpus, engine="tree")
+    memo_hash_corpus(probe, corpus)
     return {
         "items": n_items,
         "nodes": nodes,
@@ -114,7 +112,8 @@ def store_cell(n_items: int, item_size: int, repeats: int) -> dict:
 
 
 def arena_cell(n_items: int, item_size: int, repeats: int) -> dict:
-    """Tree walk vs arena kernel, single worker, bit-identity checked.
+    """Memoised tree walk vs arena batch path, single worker,
+    bit-identity checked.
 
     The corpus is the duplicate-free one the PR-3 parallel cell
     measured, so the arena's dedup ratio reflects structural repetition
@@ -124,14 +123,10 @@ def arena_cell(n_items: int, item_size: int, repeats: int) -> dict:
 
     corpus = make_corpus(n_items, item_size, dup_fraction=0.0, seed=99)
     nodes = sum(e.size for e in corpus)
-    tree_hashes = ExprStore().hash_corpus(corpus, engine="tree")
-    arena_hashes = ExprStore().hash_corpus(corpus, engine="arena")
-    tree_s = _best_of(
-        lambda: ExprStore().hash_corpus(corpus, engine="tree"), repeats
-    )
-    arena_s = _best_of(
-        lambda: ExprStore().hash_corpus(corpus, engine="arena"), repeats
-    )
+    tree_hashes = memo_hash_corpus(ExprStore(), corpus)
+    arena_hashes = ExprStore().hash_corpus(corpus)
+    tree_s = _best_of(lambda: memo_hash_corpus(ExprStore(), corpus), repeats)
+    arena_s = _best_of(lambda: ExprStore().hash_corpus(corpus), repeats)
     arena, _roots = flatten_corpus(corpus)
     return {
         "items": n_items,

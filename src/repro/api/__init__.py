@@ -12,9 +12,9 @@ behind one facade:
   :class:`InternRequest`, declarative corpus jobs carrying backend,
   determinism and resource hints.
 * the planner (:mod:`repro.api.plan`) -- resolves a request against a
-  session into an inspectable :class:`ExecutionPlan` (tree vs arena
-  engine, workers, pool mode, executor), absorbing the ``engine="auto"``
-  heuristic behind one threshold constant.
+  session into an inspectable :class:`ExecutionPlan` (arena kernel,
+  workers, pool mode, executor); ``engine="auto"`` picks the kernel at
+  one measured size crossover.
 * executors (:mod:`repro.api.executors`) -- pluggable runners
   (``serial`` / ``pool`` / ``async``) that drive the store and the
   parallel engine; results are bit-identical across all of them.
@@ -55,12 +55,7 @@ from repro.api.executors import (
     get_executor,
     register_executor,
 )
-from repro.api.plan import (
-    ARENA_NODE_THRESHOLD,
-    ExecutionPlan,
-    Planner,
-    PlanError,
-)
+from repro.api.plan import ExecutionPlan, Planner, PlanError
 from repro.api.remote import RemoteSession, RemoteStreamSession
 from repro.api.request import HashRequest, InternRequest
 from repro.api.session import Session, SessionConfig, SessionError
@@ -90,7 +85,6 @@ __all__ = [
     "ExecutionPlan",
     "Planner",
     "PlanError",
-    "ARENA_NODE_THRESHOLD",
     "Executor",
     "SerialExecutor",
     "PooledExecutor",

@@ -13,8 +13,7 @@ Three executors ship:
   when the backend is store-backed, otherwise one backend pass per
   expression;
 * :class:`PooledExecutor` (``"pool"``) -- fans the corpus out over the
-  session-owned persistent :class:`~repro.store.WorkerPool`s (arena
-  engine) or a per-call pool (tree engine's publish-then-fork path);
+  session-owned persistent :class:`~repro.store.WorkerPool`s;
 * :class:`AsyncExecutor` (``"async"``) -- a thread-bridge that runs
   either of the above off the calling thread and returns a
   ``concurrent.futures.Future``; :class:`~repro.api.aio.AsyncSession`
@@ -31,7 +30,6 @@ import threading
 from concurrent.futures import Future, ThreadPoolExecutor
 from typing import TYPE_CHECKING, Callable, Optional, Protocol, runtime_checkable
 
-from repro.core.arena import engine_family
 from repro.store.parallel import parallel_hash_corpus, parallel_intern_corpus
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -70,11 +68,12 @@ class SerialExecutor:
 
     def run(self, session, request, plan) -> list[int]:
         corpus = list(request.exprs)
+        engine = f"arena-{plan.kernel}"
         if plan.kind == "intern":
             store = session._require_store("intern requests")
-            return store.intern_many(corpus, engine=plan.engine)
+            return store.intern_many(corpus, engine=engine)
         if plan.store_backed:
-            return session.store.hash_corpus(corpus, engine=plan.engine)
+            return session.store.hash_corpus(corpus, engine=engine)
         from repro.api.backends import get_backend
 
         backend = get_backend(plan.backend)
@@ -86,11 +85,9 @@ class SerialExecutor:
 class PooledExecutor:
     """Fan the corpus out over worker pools (bit-identical to serial).
 
-    Arena-engine hash plans reuse the session-owned persistent
+    Hash plans reuse the session-owned persistent
     :class:`~repro.store.WorkerPool` for the plan's ``(mode, workers)``
-    shape; the tree engine's fork fast path builds its fresh
-    publish-then-fork pool inside :func:`parallel_hash_corpus`, exactly
-    as before the redesign.
+    shape.
     """
 
     name = "pool"
@@ -105,12 +102,8 @@ class PooledExecutor:
             workers=plan.workers,
             mode=plan.mode,
             store=session.store,
-            engine=plan.engine,
-            pool=(
-                session._pool_for(plan.mode, plan.workers)
-                if engine_family(plan.engine) == "arena"
-                else None
-            ),
+            engine=f"arena-{plan.kernel}",
+            pool=session._pool_for(plan.mode, plan.workers),
         )
 
 

@@ -4,9 +4,9 @@ The :class:`Planner` turns a declarative :class:`~repro.api.request.
 HashRequest` / :class:`~repro.api.request.InternRequest` plus a
 :class:`~repro.api.session.Session` into an :class:`ExecutionPlan` --
 every decision the scattered kwargs of PRs 3-4 used to make inline
-(tree vs arena engine, worker count, pool flavour, serial vs pooled
-executor) is made **here, once**, and the result is a frozen record the
-caller can inspect, log, or ship over the wire before anything runs::
+(arena kernel, worker count, pool flavour, serial vs pooled executor)
+is made **here, once**, and the result is a frozen record the caller
+can inspect, log, or ship over the wire before anything runs::
 
     plan = session.plan(HashRequest(corpus, workers=4))
     print(plan.explain())       # why each choice was made
@@ -15,15 +15,13 @@ caller can inspect, log, or ship over the wire before anything runs::
 Engine policy
 -------------
 
-``engine="auto"`` compares the corpus' total node count against
-:data:`ARENA_NODE_THRESHOLD` -- the **one** threshold constant, which
-the planner shares with the low-level ``resolve_engine`` normaliser
-(defined next to the arena kernel as
-:data:`repro.core.arena.ARENA_MIN_NODES`, so the core stays importable
-without this package; there is exactly one literal).  The store- and
-parallel-layer batch entry points consult the same constant through
-:func:`repro.core.arena.plan_corpus_engine`, so a forced ``engine=``
-and an ``auto`` decision can never disagree between layers.
+The arena kernel is the one batch engine.  ``engine="auto"`` picks its
+kernel by the corpus' total node count: the vectorized kernel from
+:data:`~repro.core.arena.VEC_MIN_NODES` nodes up when NumPy is
+importable, the scalar kernel otherwise.  The rule lives in
+:func:`repro.core.arena.choose_kernel`, which the store's batch entry
+points call too, so a planned request and a direct
+``ExprStore.hash_corpus`` call can never disagree.
 """
 
 from __future__ import annotations
@@ -31,25 +29,15 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Optional
 
-from repro.core.arena import (
-    ARENA_MIN_NODES,
-    engine_family,
-    engine_kernel,
-    resolve_engine,
-    resolve_kernel,
-)
+from repro.core import arena
+from repro.core.arena import VEC_MIN_NODES, choose_kernel
 from repro.store.parallel import resolve_workers
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.api.request import HashRequest
     from repro.api.session import Session
 
-__all__ = ["ExecutionPlan", "Planner", "PlanError", "ARENA_NODE_THRESHOLD"]
-
-#: Total corpus nodes at which ``engine="auto"`` switches from the
-#: memoised tree walk to the arena kernel.  This is the planner's one
-#: threshold; every layer's ``auto`` decision resolves against it.
-ARENA_NODE_THRESHOLD = ARENA_MIN_NODES
+__all__ = ["ExecutionPlan", "Planner", "PlanError"]
 
 
 class PlanError(ValueError):
@@ -60,16 +48,16 @@ class PlanError(ValueError):
 class ExecutionPlan:
     """Every resolved decision for one request, before anything runs.
 
-    ``engine``, ``workers`` and ``mode`` are concrete (no ``"auto"``,
-    no ``None``); ``executor`` names the registered executor that will
-    carry the plan out (:mod:`repro.api.executors`); ``reasons`` records
-    one line per decision for :meth:`explain`.
+    ``engine``, ``kernel``, ``workers`` and ``mode`` are concrete (no
+    ``"auto"``, no ``None``); ``executor`` names the registered
+    executor that will carry the plan out (:mod:`repro.api.executors`);
+    ``reasons`` records one line per decision for :meth:`explain`.
     """
 
     kind: str  #: ``"hash"`` or ``"intern"``
     backend: str  #: resolved unified-registry backend name
     store_backed: bool  #: whether the store's memo serves this backend
-    engine: str  #: ``"tree"`` / ``"arena"`` family -- never ``"auto"``
+    engine: str  #: always ``"arena"``, the one batch engine
     workers: int  #: resolved pool size (1 = serial)
     mode: str  #: pool flavour, meaningful when ``workers > 1``
     executor: str  #: ``"serial"`` or ``"pool"``
@@ -78,7 +66,7 @@ class ExecutionPlan:
     bits: int  #: combiner width the job will run at
     seed: int  #: combiner seed the job will run at
     num_shards: Optional[int] = None  #: sharded-store fan-in, if any
-    kernel: Optional[str] = None  #: ``"vec"``/``"scalar"`` (arena only)
+    kernel: str = "scalar"  #: arena kernel: ``"vec"`` or ``"scalar"``
     reasons: tuple[str, ...] = ()
 
     def as_dict(self) -> dict:
@@ -87,10 +75,10 @@ class ExecutionPlan:
 
     def explain(self) -> str:
         """A human-readable account of every planning decision."""
-        kernel = f" kernel={self.kernel}," if self.kernel else ""
         head = (
             f"{self.kind} {self.corpus_items} expression(s), "
-            f"{self.total_nodes} nodes -> engine={self.engine},{kernel} "
+            f"{self.total_nodes} nodes -> engine={self.engine}, "
+            f"kernel={self.kernel}, "
             f"executor={self.executor}, workers={self.workers} "
             f"({self.mode}), backend={self.backend}"
         )
@@ -100,16 +88,9 @@ class ExecutionPlan:
 class Planner:
     """Resolves requests against a session into :class:`ExecutionPlan`s.
 
-    Stateless apart from its ``arena_threshold`` (default
-    :data:`ARENA_NODE_THRESHOLD`); a session owns one and consults it
-    from :meth:`~repro.api.session.Session.plan`.  Swap it out to test
-    or tune the policy without touching any execution code::
-
-        session.planner = Planner(arena_threshold=1_000)
+    Stateless; a session owns one and consults it from
+    :meth:`~repro.api.session.Session.plan`.
     """
-
-    def __init__(self, arena_threshold: int = ARENA_NODE_THRESHOLD):
-        self.arena_threshold = arena_threshold
 
     def plan(self, session: "Session", request: "HashRequest") -> "ExecutionPlan":
         reasons: list[str] = []
@@ -160,37 +141,19 @@ class Planner:
         engine_hint = request.engine or session.config.engine
 
         total_nodes = request.total_nodes
-        if engine_hint == "auto":
-            engine = resolve_engine(
-                engine_hint, total_nodes, threshold=self.arena_threshold
-            )
-            reasons.append(
-                f"auto engine -> {engine}: {total_nodes} nodes "
-                f"{'>=' if engine == 'arena' else '<'} "
-                f"threshold {self.arena_threshold}"
-            )
+        try:
+            kernel = choose_kernel(engine_hint, total_nodes)
+        except ValueError as exc:
+            raise PlanError(str(exc)) from None
+        if engine_hint != "auto":
+            reasons.append(f"kernel {kernel!r} forced by engine {engine_hint!r}")
+        elif not arena.HAVE_NUMPY:
+            reasons.append("auto kernel -> scalar: NumPy missing, scalar fallback")
         else:
-            engine = resolve_engine(engine_hint, total_nodes)
-            reasons.append(f"engine {engine!r} forced by the request")
-
-        # The arena family additionally picks its kernel.  Forcing the
-        # vectorized kernel on a NumPy-less interpreter is a planning
-        # error (fail before anything runs); ``auto`` records which way
-        # it went and why.
-        kernel: Optional[str] = None
-        if engine_family(engine) == "arena":
-            kernel_hint = engine_kernel(engine)
-            try:
-                kernel = resolve_kernel(kernel_hint)
-            except ValueError as exc:
-                raise PlanError(str(exc)) from None
-            if kernel_hint == "auto":
-                reasons.append(
-                    f"arena kernel -> {kernel}: NumPy "
-                    + ("importable" if kernel == "vec" else "missing, scalar fallback")
-                )
-            else:
-                reasons.append(f"arena kernel {kernel!r} forced by the engine hint")
+            reasons.append(
+                f"auto kernel -> {kernel}: {total_nodes} nodes "
+                f"{'>=' if kernel == 'vec' else '<'} crossover {VEC_MIN_NODES}"
+            )
 
         # Executor selection mirrors (and replaces) the inline branch
         # the Session facade used to carry: fan out only when there is
@@ -220,7 +183,7 @@ class Planner:
             kind=request.kind,
             backend=backend.name,
             store_backed=store_backed,
-            engine=engine,
+            engine="arena",
             workers=workers,
             mode=mode,
             executor=executor,

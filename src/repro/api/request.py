@@ -37,10 +37,9 @@ from repro.store.parallel import PARALLEL_MODES
 __all__ = ["HashRequest", "InternRequest", "ENGINES"]
 
 #: Accepted ``engine`` hints (``None`` defers to the session default).
-#: One tuple with the kernel layer (``repro.core.arena``): the arena
-#: family splits into ``"arena"`` (kernel auto-picked), ``"arena-vec"``
-#: (force the vectorized kernel) and ``"arena-scalar"`` (force the
-#: pure-Python kernel).
+#: One tuple with the kernel layer (``repro.core.arena``): ``"auto"``
+#: picks the arena kernel by corpus size, ``"arena-vec"`` forces the
+#: vectorized kernel and ``"arena-scalar"`` the pure-Python one.
 ENGINES = ENGINE_CHOICES
 
 
@@ -66,9 +65,9 @@ class HashRequest:
     backend:
         Unified-registry backend name; ``None`` means the session's.
     engine:
-        Corpus strategy hint (:data:`ENGINES`): ``"auto"`` / ``"tree"``
-        / ``"arena"`` / ``"arena-vec"`` / ``"arena-scalar"``; ``None``
-        defers to the session default.
+        Arena kernel hint (:data:`ENGINES`): ``"auto"`` /
+        ``"arena-scalar"`` / ``"arena-vec"``; ``None`` defers to the
+        session default.
     workers:
         Pool size hint (``0`` = one per CPU, ``1`` = serial); ``None``
         defers to the session default.
@@ -106,7 +105,8 @@ class HashRequest:
     def _validate(self) -> None:
         if self.engine is not None and self.engine not in ENGINES:
             raise ValueError(
-                f"engine must be one of {ENGINES}, got {self.engine!r}"
+                f"engine must be one of {', '.join(ENGINES)}, "
+                f"got {self.engine!r}"
             )
         if self.mode is not None and self.mode not in PARALLEL_MODES:
             raise ValueError(

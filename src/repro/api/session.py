@@ -34,7 +34,6 @@ alpha-hash.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import asdict, dataclass
 from typing import Iterable, Optional, Union
 
@@ -56,10 +55,10 @@ from repro.store.parallel import PARALLEL_MODES
 
 __all__ = ["Session", "SessionConfig", "SessionError"]
 
-_LEGACY_KWARGS_HINT = (
-    "is deprecated; build a repro.api.HashRequest/InternRequest and call "
-    "Session.execute() (the kwargs are lowered into a request for now)"
-)
+#: Engine names older releases accepted.  A snapshot whose saved config
+#: names one is adopted with ``engine="auto"`` (the arena kernel now
+#: runs every batch; the name carried no other state).
+_RETIRED_ENGINES = ("tree", "arena")
 
 
 class SessionError(RuntimeError):
@@ -83,9 +82,9 @@ class SessionConfig:
     ``parallel_mode`` picks the pool flavour (``"process"`` for
     CPU-bound corpus hashing -- the sensible default under the GIL --
     ``"fork"``/``"spawn"`` to force one start method, or ``"thread"``);
-    ``engine`` picks the corpus hashing strategy (``"auto"`` compiles
-    large corpora into an array arena, ``"tree"``/``"arena"`` force a
-    path -- see the README's "Arena kernel" section).
+    ``engine`` picks the arena kernel for corpus batches (``"auto"``
+    chooses by corpus size, ``"arena-scalar"``/``"arena-vec"`` pin one
+    -- see the README's "Arena kernel" section).
     """
 
     backend: str = "ours"
@@ -135,12 +134,9 @@ class Session:
         #: Long-lived worker pools keyed by (mode, size), created on
         #: first parallel use and reused across hash_corpus calls until
         #: close() -- the fork/spawn cost is paid once per session, not
-        #: once per batch.  (The tree engine's fork path ignores them;
-        #: see repro.store.parallel.WorkerPool.)
+        #: once per batch.
         self._pools: dict[tuple[str, int], WorkerPool] = {}
-        #: The policy stage of the request -> plan -> execute pipeline;
-        #: swap it (e.g. ``Planner(arena_threshold=...)``) to retune
-        #: decisions without touching execution code.
+        #: The policy stage of the request -> plan -> execute pipeline.
         self.planner = Planner()
         self.backend: HasherBackend = get_backend(config.backend)
         self.combiners = HashCombiners(
@@ -224,35 +220,17 @@ class Session:
             plan = self.plan(request)
         return get_executor(plan.executor).run(self, request, plan)
 
-    def hash_corpus(
-        self,
-        exprs: Iterable[Expr],
-        workers: Optional[int] = None,
-        mode: Optional[str] = None,
-        engine: Optional[str] = None,
-    ) -> list[int]:
-        """Root hashes of a whole corpus, store-batched when possible:
-        repeated and overlapping subtrees are summarised once.
+    def hash_corpus(self, exprs: Iterable[Expr]) -> list[int]:
+        """Root hashes of a whole corpus, store-batched when possible.
 
         Sugar for ``execute(HashRequest(exprs))``: the session's
         configured ``workers`` / ``parallel_mode`` / ``engine`` become
-        the planner's defaults, results are **bit-identical** to the
-        serial path regardless of the plan.  The per-call ``workers`` /
-        ``mode`` / ``engine`` keyword overrides are deprecated -- pass a
-        :class:`~repro.api.request.HashRequest` carrying the hints to
-        :meth:`execute` instead (they are lowered into exactly that
-        request here, under a :class:`DeprecationWarning`).
+        the planner's defaults, and results are **bit-identical** to the
+        serial path regardless of the plan.  To override them for one
+        call, pass a :class:`~repro.api.request.HashRequest` carrying
+        the hints to :meth:`execute`.
         """
-        if workers is not None or mode is not None or engine is not None:
-            warnings.warn(
-                "Session.hash_corpus(workers=/mode=/engine=) "
-                + _LEGACY_KWARGS_HINT,
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        return self.execute(
-            HashRequest(exprs, workers=workers, mode=mode, engine=engine)
-        )
+        return self.execute(HashRequest(exprs))
 
     def close(self) -> None:
         """Shut down the session's persistent worker pools (idempotent).
@@ -287,12 +265,7 @@ class Session:
         """Intern ``expr``; alpha-equivalent trees share one node id."""
         return self._require_store("intern()").intern(expr)
 
-    def intern_many(
-        self,
-        exprs: Iterable[Expr],
-        workers: Optional[int] = None,
-        engine: Optional[str] = None,
-    ) -> list[int]:
+    def intern_many(self, exprs: Iterable[Expr]) -> list[int]:
         """Batch :meth:`intern`: one id per input, duplicates collapse.
 
         Sugar for ``execute(InternRequest(exprs))``.  Pooled plans
@@ -300,17 +273,11 @@ class Session:
         shard-by-shard over the snapshot wire format: the resulting
         *classes and hashes* are bit-identical to the serial path; node
         ids may differ (ids encode arrival order, and were never stable
-        across store instances).  The per-call ``workers`` / ``engine``
-        keyword overrides are deprecated -- pass an
-        :class:`~repro.api.request.InternRequest` to :meth:`execute`.
+        across store instances).  Per-call hints ride on an
+        :class:`~repro.api.request.InternRequest` passed to
+        :meth:`execute`.
         """
-        if workers is not None or engine is not None:
-            warnings.warn(
-                "Session.intern_many(workers=/engine=) " + _LEGACY_KWARGS_HINT,
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        return self.execute(InternRequest(exprs, workers=workers, engine=engine))
+        return self.execute(InternRequest(exprs))
 
     def open_stream(
         self,
@@ -345,9 +312,9 @@ class Session:
         (-> list of them), pooling the canonical DAG across the session.
 
         Corpora go through :func:`repro.apps.sharing.share_alpha_corpus`,
-        which batch-interns the whole input -- large corpora take the
-        store's arena bulk-intern fast path.  ``engine`` overrides the
-        session default per call, like :meth:`hash_corpus`."""
+        which batch-interns the whole input through the store's arena
+        bulk-intern path.  ``engine`` overrides the session default
+        kernel choice for this call."""
         from repro.apps.sharing import share_alpha, share_alpha_corpus
 
         if isinstance(exprs, Expr):
@@ -421,9 +388,16 @@ class Session:
         cls, store: ExprStore, header: dict, backend: Optional[str]
     ) -> "Session":
         """The one snapshot-adoption path behind :meth:`load` and
-        :meth:`from_snapshot_bytes`."""
+        :meth:`from_snapshot_bytes` (and journal checkpoint recovery).
+
+        A saved config naming a retired engine (``"tree"``,
+        ``"arena"``) is adopted as ``"auto"``, so snapshots written by
+        older releases keep loading."""
         meta = header.get("meta") or {}
         saved_config = meta.get("config") or {}
+        engine = saved_config.get("engine", "auto")
+        if engine in _RETIRED_ENGINES:
+            engine = "auto"
         if isinstance(store, ShardedExprStore):
             # Native v2 sharded snapshot: adopted directly below --
             # original node ids, per-shard recency and counters all
@@ -441,7 +415,7 @@ class Session:
             workers=saved_config.get("workers", 1),
             parallel_mode=saved_config.get("parallel_mode", "process"),
             num_shards=num_shards,
-            engine=saved_config.get("engine", "auto"),
+            engine=engine,
         )
         session = cls(config)
         if num_shards is not None and not isinstance(store, ShardedExprStore):

@@ -239,9 +239,8 @@ def _run_hash(rest: Sequence[str]) -> int:
         "--engine",
         choices=ENGINE_CHOICES,
         default="auto",
-        help="corpus hashing strategy: tree walking, the arena kernel "
-        "(arena-vec forces the vectorized kernel, arena-scalar the "
-        "pure-Python one), or size-based auto selection",
+        help="arena kernel: auto picks by corpus size; arena-vec forces "
+        "the vectorized kernel, arena-scalar the pure-Python one",
     )
     args = parser.parse_args(rest)
 
@@ -329,7 +328,7 @@ def _run_session(rest: Sequence[str]) -> int:
         "--engine",
         choices=ENGINE_CHOICES,
         default="auto",
-        help="corpus hashing strategy (see README: Arena kernel)",
+        help="arena kernel choice (see README: Arena kernel)",
     )
     parser.add_argument(
         "--num-shards",
@@ -456,14 +455,14 @@ def _session_report(session, args, exprs) -> int:
         if session.backend.store_backed:
             canonical = hashes
         else:
-            canonical = [session.store.hash_expr(expr) for expr in exprs]
+            canonical = session.store.hash_corpus(exprs, engine=args.engine)
         known_flags = [
             session.store.lookup_hash(value) is not None for value in canonical
         ]
         # One bulk intern (after the flags above), not one walk per
-        # file: serial sessions reuse the compile the hash pass above
-        # cached (large corpora take the store's arena bulk-intern
-        # path); --workers sessions fan out over the worker-merge path.
+        # file: serial sessions reuse the arena compile the hash pass
+        # above cached; --workers sessions fan out over the
+        # worker-merge path.
         node_ids = session.execute(InternRequest(exprs, engine=args.engine))
     for index, (path, expr, value) in enumerate(
         zip(args.files, exprs, hashes)

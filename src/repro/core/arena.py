@@ -27,6 +27,14 @@ This module *compiles* a corpus once into an :class:`ExprArena`:
   **bit-identical** to :func:`repro.core.hashed.alpha_hash_all` -- the
   test wall checks this on adversarial corpora at several widths.
 
+* **One engine, two kernels.**  Every batch hash and intern runs
+  through an arena; only the kernel varies.  :func:`arena_hash_vec`
+  runs each tree level as NumPy array operations and wins once a
+  corpus reaches :data:`VEC_MIN_NODES` nodes; below that the scalar
+  :func:`arena_hash` is faster.  :func:`choose_kernel` is the one place
+  that rule lives (``engine="auto"``); ``"arena-scalar"`` and
+  ``"arena-vec"`` pin a kernel.
+
 Arenas are also cheap to ship: pickling a handful of flat arrays is
 iterative and O(bytes), so arbitrarily deep corpora cross a ``spawn``
 process boundary that would overflow the C stack if the trees
@@ -67,15 +75,10 @@ __all__ = [
     "arena_hash_vec",
     "arena_hash_any",
     "flatten_corpus",
-    "ARENA_MIN_NODES",
-    "ARENA_ENGINES",
     "ENGINE_CHOICES",
     "HAVE_NUMPY",
-    "engine_family",
-    "engine_kernel",
-    "resolve_kernel",
-    "resolve_engine",
-    "plan_corpus_engine",
+    "VEC_MIN_NODES",
+    "choose_kernel",
     "OP_VAR",
     "OP_LIT",
     "OP_LAM",
@@ -85,106 +88,49 @@ __all__ = [
 
 OP_VAR, OP_LIT, OP_LAM, OP_APP, OP_LET = 0, 1, 2, 3, 4
 
-#: Engine names that select the arena family.  ``"arena"`` lets the
-#: kernel auto-pick (vectorized when NumPy is importable, scalar
-#: otherwise); the suffixed forms force one kernel -- ``arena-vec``
-#: errors without NumPy, ``arena-scalar`` exists mostly so benchmarks
-#: and the differential wall can pin the fallback.
-ARENA_ENGINES = ("arena", "arena-vec", "arena-scalar")
-
 #: Every value accepted where an ``engine`` is requested (CLI, requests,
-#: session config).  One tuple so the choice lists cannot drift.
-ENGINE_CHOICES = ("auto", "tree") + ARENA_ENGINES
+#: session config, wire hints).  The arena kernel is the one batch
+#: engine; ``"auto"`` picks its kernel by corpus size (see
+#: :func:`choose_kernel`), the other two pin one -- ``arena-vec``
+#: errors without NumPy, ``arena-scalar`` runs anywhere.
+ENGINE_CHOICES = ("auto", "arena-scalar", "arena-vec")
+
+#: Total corpus nodes from which ``engine="auto"`` runs the vectorized
+#: kernel.  Below it the scalar kernel wins: the vectorized kernel pays
+#: a fixed per-level NumPy set-up that a small arena cannot amortise.
+#: Measured crossover (2 CPUs, NumPy 2.4, ``ExprStore.hash_corpus`` and
+#: hash-then-``intern_many`` on duplicate-free 60-node items): scalar
+#: is ahead up to ~1.8k nodes, the two meet near 2k-2.4k, and vec leads
+#: by 1.7x at 6k.
+VEC_MIN_NODES = 2_000
 
 
-def engine_family(engine: str) -> str:
-    """Collapse an engine name to its family: ``"arena"`` or ``"tree"``.
+def choose_kernel(engine: str, total_nodes: int) -> str:
+    """The arena kernel (``"vec"`` / ``"scalar"``) that runs a corpus of
+    ``total_nodes`` nodes under ``engine``.
 
-    Call sites that only care *which pipeline* runs (store gates, the
-    pooled executor) compare against the family, so ``arena-vec`` and
-    ``arena-scalar`` route exactly like ``arena``.
-    """
-    return "arena" if engine in ARENA_ENGINES else engine
-
-
-def engine_kernel(engine: str) -> str:
-    """The kernel request carried by an engine name.
-
-    ``"auto"`` for the bare families (the dispatcher then prefers the
-    vectorized kernel when NumPy is present), ``"vec"``/``"scalar"``
-    for the pinned forms.
-    """
-    if engine == "arena-vec":
-        return "vec"
-    if engine == "arena-scalar":
-        return "scalar"
-    return "auto"
-
-
-def resolve_kernel(kernel: str = "auto") -> str:
-    """Normalise a kernel request to ``"vec"`` or ``"scalar"``.
-
-    ``"auto"`` prefers the vectorized kernel whenever NumPy imported;
-    forcing ``"vec"`` without NumPy is an error rather than a silent
-    fallback (the caller asked for a specific performance envelope).
-    """
-    if kernel == "auto":
-        return "vec" if HAVE_NUMPY else "scalar"
-    if kernel == "vec":
-        if not HAVE_NUMPY:
-            raise ValueError(
-                "kernel 'vec' (engine 'arena-vec') requires NumPy; "
-                "install the repro[vec] extra or use 'arena-scalar'"
-            )
-        return "vec"
-    if kernel == "scalar":
-        return "scalar"
-    raise ValueError(
-        f"kernel must be 'auto', 'vec' or 'scalar', got {kernel!r}"
-    )
-
-#: Corpus size (total nodes) above which ``engine="auto"`` picks the
-#: arena.  Below it the per-corpus compile overhead (building the arrays
-#: and leaf tables) eats the per-node win; above it the kernel pulls
-#: ahead quickly.  Chosen from the BENCH_PR4 sweep; override per call
-#: with ``engine="arena"`` / ``engine="tree"``.  This is the **one**
-#: auto-engine literal in the repository: the planner re-exports it as
-#: :data:`repro.api.plan.ARENA_NODE_THRESHOLD` (the policy-level name),
-#: and every batch entry point resolves ``"auto"`` against it through
-#: :func:`resolve_engine` / :func:`plan_corpus_engine`.
-ARENA_MIN_NODES = 25_000
-
-
-def resolve_engine(
-    engine: str, total_nodes: int, threshold: Optional[int] = None
-) -> str:
-    """Normalise an ``engine`` request to ``"arena"`` or ``"tree"``.
-
-    ``threshold`` defaults to :data:`ARENA_MIN_NODES`; the planner
-    passes its own (same value unless deliberately retuned) so policy
-    stays swappable in exactly one place.
+    ``"auto"`` takes the vectorized kernel at or above
+    :data:`VEC_MIN_NODES` when NumPy is importable, the scalar kernel
+    otherwise.  Forcing ``"arena-vec"`` without NumPy is an error
+    rather than a silent fallback (the caller asked for a specific
+    performance envelope).
     """
     if engine == "auto":
-        limit = ARENA_MIN_NODES if threshold is None else threshold
-        return "arena" if total_nodes >= limit else "tree"
-    if engine == "tree" or engine in ARENA_ENGINES:
-        return engine
+        if HAVE_NUMPY and total_nodes >= VEC_MIN_NODES:
+            return "vec"
+        return "scalar"
+    if engine == "arena-scalar":
+        return "scalar"
+    if engine == "arena-vec":
+        if not HAVE_NUMPY:
+            raise ValueError(
+                "engine 'arena-vec' requires NumPy; install the repro[vec] "
+                "extra or use 'arena-scalar'"
+            )
+        return "vec"
     raise ValueError(
         f"engine must be one of {', '.join(ENGINE_CHOICES)}, got {engine!r}"
     )
-
-
-def plan_corpus_engine(engine: str, corpus: Sequence[Expr]) -> str:
-    """The concrete engine for hashing/interning ``corpus``.
-
-    The one shared ``auto`` decision point for the store- and
-    parallel-layer batch entry points: total nodes are counted here
-    (``Expr.size`` is O(1) per root) and compared against the single
-    threshold constant, so no call site carries its own size loop or
-    literal."""
-    if engine == "auto":
-        return resolve_engine(engine, sum(expr.size for expr in corpus))
-    return resolve_engine(engine, 0)  # validates the name
 
 
 class ExprArena:
@@ -1162,11 +1108,12 @@ def arena_hash_any(
     arena: ExprArena,
     combiners: Optional[HashCombiners] = None,
     only: Optional[Sequence[int]] = None,
-    kernel: str = "auto",
+    kernel: str = "scalar",
     memo: Optional[ArenaMemo] = None,
 ) -> list[Optional[int]]:
-    """Run the arena kernel named by ``kernel`` (``auto``/``vec``/``scalar``)."""
-    if resolve_kernel(kernel) == "vec":
+    """Run the arena kernel named by ``kernel`` (``"vec"``/``"scalar"``,
+    as :func:`choose_kernel` resolves it)."""
+    if kernel == "vec":
         return arena_hash_vec(arena, combiners, only=only, memo=memo)
     return arena_hash(arena, combiners, only=only, memo=memo)
 

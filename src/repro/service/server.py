@@ -78,7 +78,7 @@ from urllib.parse import parse_qs, urlsplit
 from repro.api import HashRequest, InternRequest, PlanError, Session
 from repro.api.stream import StreamSession
 from repro.core.incremental import PathError
-from repro.core.arena import ENGINE_CHOICES, engine_kernel, resolve_kernel
+from repro.core.arena import ENGINE_CHOICES, VEC_MIN_NODES, choose_kernel
 from repro.lang.sexpr import SexprError, from_wire
 from repro.store import (
     Journal,
@@ -297,7 +297,8 @@ class _Handler(BaseHTTPRequestHandler):
         probes = hits + misses
         engine = stats.get("engine", "auto")
         try:
-            kernel = resolve_kernel(engine_kernel(engine))
+            # The kernel a batch at the crossover size would run.
+            kernel = choose_kernel(engine, VEC_MIN_NODES)
         except ValueError:
             kernel = "unavailable"
         body = {
@@ -413,13 +414,16 @@ class _Handler(BaseHTTPRequestHandler):
         if store is None:
             raise _RequestError(409, "this server runs without a store")
         with service.lock:
+            # One arena compile serves both passes: hash_corpus stashes
+            # it and the intern below reuses it.  Hashing first also
+            # means the reply's canonical hashes never depend on an
+            # entry-bounded store keeping early roots live to the end
+            # of the batch.
+            plan = service.session.plan(request)
+            hashes = store.hash_corpus(corpus, engine=f"arena-{plan.kernel}")
             if service.shard_count is not None:
-                # Cluster node: hash first and refuse foreign keys
-                # *before* anything lands in the intern table.  Hashing
-                # is ownership-free (bit-identical everywhere), so this
-                # costs one summary pass the intern below then answers
-                # from the warm memo.
-                hashes = [store.hash_expr(expr) for expr in corpus]
+                # Cluster node: refuse foreign keys *before* anything
+                # lands in the intern table.
                 foreign = [
                     index
                     for index, digest in enumerate(hashes)
@@ -435,17 +439,7 @@ class _Handler(BaseHTTPRequestHandler):
                         f"belongs to shard "
                         f"{hashes[first] % service.shard_count}",
                     )
-                plan = service.session.plan(request)
-                ids = service.session.execute(request, plan=plan)
-            else:
-                plan = service.session.plan(request)
-                ids = service.session.execute(request, plan=plan)
-                # Canonical hashes come from the (memo-warm) hashing
-                # path, not an id lookup: on an entry-bounded store an
-                # early root can already be evicted again by the end of
-                # the batch, and a capacity condition must not surface
-                # as a KeyError.
-                hashes = [store.hash_expr(expr) for expr in corpus]
+            ids = service.session.execute(request, plan=plan)
             # Write-ahead durability: the batch's delta frame reaches
             # the journal (fsync'd) *before* this 200 is sent -- an
             # acked intern survives SIGKILL.  An append failure (disk

@@ -1,27 +1,28 @@
-"""Arena-backed fast paths for the expression store (``engine="arena"``).
+"""Arena-backed batch paths of the expression store.
 
-Two entry points, both invoked from :class:`~repro.store.ExprStore`
-when a corpus is large enough for the compile-then-hash trade to win
-(:data:`repro.core.arena.ARENA_MIN_NODES`, overridable per call):
+Two entry points, invoked from :class:`~repro.store.ExprStore`'s batch
+verbs (``hash_corpus`` / ``intern_many``) for every corpus; ``kernel``
+is the ``"vec"`` / ``"scalar"`` choice
+:func:`repro.core.arena.choose_kernel` made for the corpus size:
 
 * :func:`hash_corpus_arena` -- batch hashing.  Items the store already
   knows (per-object summary memo, or the arena root cache from an
   earlier batch) are answered locally; the rest are compiled into one
   :class:`~repro.core.arena.ExprArena` and hashed by the array kernel.
-  Hashes are bit-identical to the tree path; what changes is the cache
+  Hashes are bit-identical to the memo path; what changes is the cache
   discipline -- the arena path does **not** snapshot a per-object memo
   record for every interior node (that one-dict-copy-per-node cost is
   precisely what it avoids).  Instead each corpus *root* lands in the
   store's arena root cache, so re-hashing the same corpus objects is
   O(1) per item, while ``hash_expr``/``hashes`` on interior subtrees
-  falls back to the tree path's memo as before.
+  walk the per-object summary memo as before.
 
 * :func:`intern_corpus_arena` -- bulk interning.  The corpus is
   compiled once, hashed once, and then every *unique* arena node is
   resolved against the intern table directly: duplicates never reach
   ``_hash_tree``, and a class interned by an earlier batch costs one
   dict probe.  Canonical entries, hashes, ids and refcounts come out
-  exactly as the serial path would produce for the same arrival order;
+  exactly as per-item ``intern`` would produce for the same arrival order;
   the summary memo is left cold (see above), and ``hits``/``misses``
   count unique arena nodes rather than subtree occurrences.  Flat
   stores take a direct-dict hot loop; sharded stores take a
@@ -66,7 +67,7 @@ def hash_corpus_arena(
     corpus: Sequence[Expr],
     combiners=None,
     fanout=None,
-    kernel: str = "auto",
+    kernel: str = "scalar",
 ) -> list[int]:
     """Root alpha-hashes of ``corpus`` through the arena kernel.
 
@@ -75,8 +76,7 @@ def hash_corpus_arena(
     ``fanout(arena, unique_roots) -> {root_index: top}`` and replaces
     the local kernel run -- the parallel engine plugs its worker pools
     in here, so serial and parallel share every other line of this
-    path.  ``kernel`` picks the vectorized or scalar array kernel
-    (``"auto"`` prefers vectorized when NumPy is importable).
+    path.  ``kernel`` picks the vectorized or scalar array kernel.
     """
     # Sharded stores guard their memo behind an RLock; every touch of
     # root_memo / stats / the flush below happens under it (re-entrant,
@@ -131,17 +131,11 @@ def hash_corpus_arena(
                     top = tops[root]
                     root_memo[id(expr)] = (expr, top)
                     results[index] = top
-                if (
-                    fanout is None
-                    and store._arena_intern_ok
-                    and store.memo_limit is None
-                ):
+                if fanout is None and store.memo_limit is None:
                     # Serial passes produce per-node tops: stash the
                     # compile so a following bulk intern of the same
                     # corpus reuses it (one-shot; the consumer clears
-                    # it).  Fanned-out passes only have root tops, and
-                    # stores that cannot take the bulk-intern path
-                    # would pin the corpus for nothing.
+                    # it).  Fanned-out passes only have root tops.
                     store._arena_compile_cache = (
                         arena,
                         pending,
@@ -156,7 +150,7 @@ def hash_corpus_arena(
 
 
 def intern_corpus_arena(
-    store: "ExprStore", corpus: Sequence[Expr], kernel: str = "auto"
+    store: "ExprStore", corpus: Sequence[Expr], kernel: str = "scalar"
 ) -> list[int]:
     """Intern ``corpus`` via one arena pass (flat or sharded stores)."""
     stats = store.stats

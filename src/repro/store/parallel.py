@@ -2,64 +2,46 @@
 
 The corpus workload is embarrassingly parallel -- each expression's
 alpha-hash is a pure function of the tree and the combiner family -- so
-:func:`parallel_hash_corpus` splits a corpus into deterministic chunks,
-hashes every chunk in a worker (process or thread), and reassembles the
-results by input position.  The result is **bit-identical** to the
-serial path: same combiners, same per-expression hash, same order.
+:func:`parallel_hash_corpus` compiles a corpus into one arena, hashes
+deterministic chunks of it in workers (processes or threads), and
+reassembles the results by input position.  The result is
+**bit-identical** to the serial path: same combiners, same
+per-expression hash, same order.
 
 Engine design notes
 -------------------
 
-* **Deduplication first.**  Corpora produced by rewrite pipelines repeat
-  items *by object identity*; the serial store path absorbs those via
-  its summary memo.  Workers do not share a memo, so the parent
-  deduplicates by ``id()`` up front and only unique objects are fanned
-  out; duplicates are filled in from the first occurrence's result.
+* **Arena chunks.**  The parent compiles the corpus into one
+  :class:`~repro.core.arena.ExprArena` (flatten-time dedup collapses
+  repeated items) and fans out *index ranges over the unique roots*;
+  each worker hashes the downward closure of its roots with the arena
+  kernel :func:`~repro.core.arena.choose_kernel` picked for the corpus
+  size -- scalar below :data:`~repro.core.arena.VEC_MIN_NODES` nodes,
+  vectorized from there when NumPy is importable.
 
-* **Fork, not pickle.**  On platforms with ``fork`` (Linux), the corpus
-  is published in a module-level global before the pool starts and the
-  workers inherit it through the forked address space: the tasks on the
-  wire are index ranges (two ints) and the results are flat hash lists.
-  Expression trees are never pickled, so arbitrarily deep corpora
-  (pickling recurses; see ``tests/test_degenerate.py``) parallelise
-  fine and the per-task IPC cost stays O(1).
-
-* **Spawn fallback.**  Without ``fork``, chunks are pickled with a
-  recursion-limit guard scaled to the chunk's known maximum depth
-  (``Expr.depth`` is O(1)); beyond ``MAX_PICKLE_DEPTH`` the engine
-  refuses loudly rather than risk a C-stack overflow.
+* **Zero-copy shipping.**  Arenas are a handful of flat arrays.  Process
+  workers attach the columns from one shared-memory segment (any start
+  method, any expression depth); the poolless fork path publishes the
+  arena in module globals instead, since the forked address space is
+  already zero-copy.  Thread mode shares the arena directly.
 
 * **Deterministic chunking.**  Chunk boundaries depend only on the
-  number of unique expressions and the worker count -- never on timing
-  -- and results are placed by index, so the output permutation-merges
+  number of unique roots and the worker count -- never on timing --
+  and results are placed by index, so the output permutation-merges
   identically on every run.
 
-* **Store cooperation.**  When the caller owns a store, its memoised
-  top-level hashes are consulted before fanning out (a warm corpus
-  never leaves the parent), and worker-side hashing counters are folded
-  back into the store's stats so the work done on the corpus' behalf
-  stays visible.  Worker *intern tables* can also be merged back -- see
+* **Store cooperation.**  When the caller owns a store, its cached
+  root hashes are consulted before fanning out (a warm corpus never
+  leaves the parent), and the arena work is counted in the store's
+  stats.  Worker *intern tables* can also be merged back -- see
   :func:`parallel_intern_corpus` -- via the snapshot wire format, which
   serialises iteratively (deep trees survive) and arrives as real
   canonical classes in the parent.
-
-* **Arena chunks (PR 4).**  With ``engine="arena"`` (the default above
-  the node threshold) the parent compiles the corpus into one
-  :class:`~repro.core.arena.ExprArena` and fans out *index ranges over
-  the unique roots*; each worker hashes the downward closure of its
-  roots with the array kernel.  Arenas are a handful of flat arrays, so
-  they pickle iteratively and cheaply -- which lifts the fork-only
-  restriction: ``mode="spawn"`` ships the arena over the wire with no
-  depth limit, and a long-lived :class:`WorkerPool` can be reused
-  across calls because nothing depends on fork-time globals.
 
 * **Persistent pools.**  :class:`WorkerPool` is a session-owned
   long-lived pool (process or thread) that amortises the per-call
   fork/spawn cost across many ``hash_corpus`` batches; data reaches the
   workers through task payloads, never through fork-inherited globals.
-  The tree engine's fork fast path still wants a fresh pool per call
-  (workers inherit the corpus at fork time) and ignores a supplied
-  pool.
 
 Threads vs processes: CPython's GIL serialises the pure-Python hashing
 loops, so ``mode="thread"`` exists for API symmetry, free-threaded
@@ -70,7 +52,6 @@ explicitly ``"fork"`` / ``"spawn"``).
 
 from __future__ import annotations
 
-import sys
 import threading
 import weakref
 from concurrent.futures import ThreadPoolExecutor
@@ -81,10 +62,7 @@ from repro.core.arena import (
     ArenaMemo,
     ExprArena,
     arena_hash_any,
-    engine_family,
-    engine_kernel,
-    plan_corpus_engine,
-    resolve_kernel,
+    choose_kernel,
 )
 from repro.core.combiners import HashCombiners, default_combiners
 from repro.core.cpus import available_cpus
@@ -96,7 +74,6 @@ __all__ = [
     "parallel_intern_corpus",
     "resolve_workers",
     "WorkerPool",
-    "MAX_PICKLE_DEPTH",
     "PARALLEL_MODES",
 ]
 
@@ -104,13 +81,6 @@ __all__ = [
 #: has it (falling back to spawn), ``"fork"`` / ``"spawn"`` force one
 #: start method, ``"thread"`` uses an in-process pool.
 PARALLEL_MODES = ("process", "fork", "spawn", "thread")
-
-#: Spawn-mode ceiling on expression depth: pickling recurses roughly
-#: once per level, and recursion limits far beyond this risk exhausting
-#: the C stack instead of raising cleanly.  Fork mode has no such limit.
-MAX_PICKLE_DEPTH = 20_000
-
-_HASH_COUNTERS = ("memo_hits", "hashed_nodes", "memo_skipped_nodes")
 
 
 def resolve_workers(workers: Optional[int]) -> int:
@@ -142,21 +112,6 @@ def _chunk_ranges(n_items: int, n_chunks: int) -> list[tuple[int, int]]:
     return ranges
 
 
-def _hash_span(
-    exprs: Sequence[Expr], combiners: HashCombiners
-) -> tuple[list[int], dict[str, int]]:
-    """Hash ``exprs`` through a fresh local store; return (hashes, stats).
-
-    The local store gives the span the same intra-chunk subtree reuse
-    the serial path enjoys; its hashing counters ride back so the parent
-    can account for the delegated work.
-    """
-    local = ExprStore(combiners)
-    hashes = [local.hash_expr(expr) for expr in exprs]
-    counters = {name: getattr(local.stats, name) for name in _HASH_COUNTERS}
-    return hashes, counters
-
-
 # -- fork-mode worker state ---------------------------------------------------
 #
 # Published by the parent immediately before the pool is created and
@@ -177,13 +132,6 @@ _FORK_SEED: Optional[int] = None  # guarded-by: _FORK_PUBLISH_LOCK
 _FORK_KERNEL = "scalar"  # guarded-by: _FORK_PUBLISH_LOCK
 
 
-def _fork_hash_range(span: tuple[int, int]) -> tuple[list[int], dict[str, int]]:
-    start, stop = span
-    assert _FORK_EXPRS is not None, "fork worker started without a corpus"
-    combiners = HashCombiners(bits=_FORK_BITS, seed=_FORK_SEED)
-    return _hash_span(_FORK_EXPRS[start:stop], combiners)
-
-
 def _fork_intern_range(span: tuple[int, int]) -> tuple[list[int], bytes]:
     from repro.store.snapshot import snapshot_to_bytes
 
@@ -191,7 +139,7 @@ def _fork_intern_range(span: tuple[int, int]) -> tuple[list[int], bytes]:
     assert _FORK_EXPRS is not None, "fork worker started without a corpus"
     combiners = HashCombiners(bits=_FORK_BITS, seed=_FORK_SEED)
     local = ExprStore(combiners)
-    roots = [local.hash_expr(expr) for expr in _FORK_EXPRS[start:stop]]
+    roots = local.hash_corpus(_FORK_EXPRS[start:stop])
     local.intern_many(_FORK_EXPRS[start:stop])
     return roots, snapshot_to_bytes(local)
 
@@ -226,69 +174,6 @@ def _shm_arena_tops(payload) -> list[int]:
     return [tops[r] for r in roots]
 
 
-def _spawn_hash_chunk(
-    payload: tuple[list[Expr], int, int],
-) -> tuple[list[int], dict[str, int]]:
-    exprs, bits, seed = payload
-    return _hash_span(exprs, HashCombiners(bits=bits, seed=seed))
-
-
-class _DeepPickleGuard:
-    """Temporarily raise the recursion limit for spawn-mode pickling.
-
-    Pickling an expression recurses roughly once per tree level; this
-    guard sizes the limit from the chunk's known maximum ``depth``
-    (maintained O(1) on every node) with headroom, and restores the old
-    limit on exit.  Depths beyond :data:`MAX_PICKLE_DEPTH` are refused
-    loudly -- raising the limit further trades a clean error for a
-    possible C-stack overflow.  Fork mode never pickles trees and has no
-    depth ceiling.
-    """
-
-    def __init__(self, max_depth: int):
-        if max_depth > MAX_PICKLE_DEPTH:
-            raise ValueError(
-                f"corpus depth {max_depth} exceeds MAX_PICKLE_DEPTH "
-                f"({MAX_PICKLE_DEPTH}) for spawn-mode workers; use fork "
-                "mode (Linux default) or hash serially"
-            )
-        self._target = max(sys.getrecursionlimit(), 4 * max_depth + 1000)
-        self._saved: Optional[int] = None
-
-    def __enter__(self):
-        self._saved = sys.getrecursionlimit()
-        sys.setrecursionlimit(self._target)
-        return self
-
-    def __exit__(self, *exc_info):
-        assert self._saved is not None
-        sys.setrecursionlimit(self._saved)
-        return False
-
-
-def _dedup(exprs: Sequence[Expr]) -> tuple[list[Expr], list[int]]:
-    """Unique expression objects plus each input's index into them."""
-    uniq: list[Expr] = []
-    first_seen: dict[int, int] = {}
-    positions: list[int] = []
-    for expr in exprs:
-        key = id(expr)
-        slot = first_seen.get(key)
-        if slot is None:
-            slot = len(uniq)
-            first_seen[key] = slot
-            uniq.append(expr)
-        positions.append(slot)
-    return uniq, positions
-
-
-def _fold_counters(store: ExprStore, counters: dict[str, int]) -> None:
-    for name in _HASH_COUNTERS:
-        setattr(
-            store.stats, name, getattr(store.stats, name) + counters.get(name, 0)
-        )
-
-
 def parallel_hash_corpus(
     exprs: Iterable[Expr],
     combiners: Optional[HashCombiners] = None,
@@ -318,23 +203,18 @@ def parallel_hash_corpus(
     mode:
         ``"process"`` (CPU-bound default) or ``"thread"``.
     store:
-        Optional parent-side store: already-memoised expressions are
-        answered locally, and worker hashing counters are folded into
-        ``store.stats`` afterwards.
+        Optional parent-side store: already-cached items are answered
+        locally, and the arena work is counted in ``store.stats``.
     chunks_per_worker:
         Fan-out granularity (more chunks -> better balance, more IPC).
     engine:
-        ``"tree"`` fans out expression chunks (the PR-3 engine);
-        ``"arena"`` compiles the corpus once and fans out root-index
-        ranges over the arena (shipped zero-copy through shared memory
-        under any start method); ``"arena-vec"`` / ``"arena-scalar"``
-        additionally pin the arena kernel; ``"auto"`` picks the arena
-        above the node threshold.
+        Arena kernel choice, as for
+        :meth:`~repro.store.ExprStore.hash_corpus`: ``"auto"`` picks by
+        corpus size (:func:`~repro.core.arena.choose_kernel`),
+        ``"arena-vec"`` / ``"arena-scalar"`` pin a kernel.
     pool:
         An optional long-lived :class:`WorkerPool` to run on (its mode
-        overrides ``mode``).  Only the arena engine and thread mode can
-        use it -- the tree engine's fork path needs a fresh pool whose
-        workers inherit the published corpus, and ignores ``pool``.
+        overrides ``mode``).
     """
     corpus = list(exprs)
     if pool is not None:
@@ -352,62 +232,18 @@ def parallel_hash_corpus(
             return store.hash_corpus(corpus, engine=engine)
         return ExprStore(combiners).hash_corpus(corpus, engine=engine)
 
-    # One shared auto decision point (the planner's threshold constant).
-    engine = plan_corpus_engine(engine, corpus)
-    if engine_family(engine) == "arena":
-        return _parallel_hash_arena(
-            corpus,
-            combiners,
-            n_workers,
-            mode,
-            store,
-            chunks_per_worker,
-            pool,
-            kernel=resolve_kernel(engine_kernel(engine)),
-        )
-
-    uniq, positions = _dedup(corpus)
-
-    # Answer what the parent store already knows; fan out only the rest.
-    uniq_results: list[Optional[int]] = [None] * len(uniq)
-    pending: list[int] = []
-    if store is not None:
-        for index, expr in enumerate(uniq):
-            cached = store.cached_top(expr)
-            if cached is None:
-                pending.append(index)
-            else:
-                uniq_results[index] = cached
-    else:
-        pending = list(range(len(uniq)))
-
-    if pending:
-        todo = [uniq[i] for i in pending]
-        spans = _chunk_ranges(len(todo), n_workers * chunks_per_worker)
-        if mode == "thread":
-            chunk_results = _run_thread_chunks(todo, spans, combiners, n_workers)
-        else:
-            chunk_results = _run_process_chunks(
-                todo, spans, combiners, n_workers, mode
-            )
-        cursor = 0
-        for hashes, counters in chunk_results:
-            for value in hashes:
-                uniq_results[pending[cursor]] = value
-                cursor += 1
-            if store is not None:
-                _fold_counters(store, counters)
-        assert cursor == len(pending)
-
-    assert all(value is not None for value in uniq_results)
-    return [uniq_results[slot] for slot in positions]  # type: ignore[misc]
+    kernel = choose_kernel(engine, sum(expr.size for expr in corpus))
+    return _parallel_hash_arena(
+        corpus, combiners, n_workers, mode, store, chunks_per_worker, pool,
+        kernel=kernel,
+    )
 
 
 def _parallel_hash_arena(
     corpus, combiners, n_workers, mode, store, chunks_per_worker, pool,
     kernel="scalar",
 ):
-    """Arena engine: compile once in the parent, fan out root spans.
+    """Compile once in the parent, fan out root spans.
 
     Workers hash the downward closure of their roots; thread mode
     shares an :class:`~repro.core.arena.ArenaMemo` across chunks (merge
@@ -503,25 +339,6 @@ def _parallel_hash_arena(
     return hash_corpus_arena(store, corpus, combiners=combiners, fanout=fanout)
 
 
-def _run_thread_chunks(todo, spans, combiners, n_workers):
-    """Thread pool: shared memory, per-thread local stores, no pickling.
-
-    The pool is capped at the *requested* worker count -- excess chunks
-    queue -- so the caller's concurrency bound holds even though the
-    fan-out produces more chunks than workers for balance.
-    """
-    def run(span):
-        start, stop = span
-        # A fresh combiner family per task keeps the name-cache dict
-        # unshared (same (bits, seed) -> identical hashes).
-        return _hash_span(
-            todo[start:stop], HashCombiners(bits=combiners.bits, seed=combiners.seed)
-        )
-
-    with ThreadPoolExecutor(max_workers=min(n_workers, len(spans))) as pool:
-        return list(pool.map(run, spans))
-
-
 def _pool_context():
     import multiprocessing
 
@@ -549,10 +366,8 @@ class WorkerPool:
     Owned by a :class:`~repro.api.Session` (or used standalone as a
     context manager); the underlying pool is created lazily on first
     use and survives until :meth:`close`, amortising the per-call
-    fork/spawn cost the ROADMAP flagged.  Tasks reach the workers
-    through pickled payloads only, so the pool is agnostic to when it
-    was created -- which is exactly why the tree engine's
-    publish-then-fork fast path cannot use it and ignores it.
+    fork/spawn cost.  Tasks reach the workers through pickled payloads
+    only, so the pool is agnostic to when it was created.
 
     Process mode runs on :class:`concurrent.futures.ProcessPoolExecutor`
     rather than ``multiprocessing.Pool``: a worker that dies mid-batch
@@ -625,31 +440,6 @@ class WorkerPool:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-
-def _run_process_chunks(todo, spans, combiners, n_workers, mode="process"):
-    global _FORK_EXPRS, _FORK_BITS, _FORK_SEED
-    context, has_fork = _context_for(mode)
-    n_procs = min(n_workers, len(spans))
-    if has_fork:
-        with _FORK_PUBLISH_LOCK:
-            _FORK_EXPRS = todo
-            _FORK_BITS = combiners.bits
-            _FORK_SEED = combiners.seed
-            try:
-                with context.Pool(processes=n_procs) as pool:
-                    # repro-lint: allow[lock-blocking] reason=publish-to-fork window; the globals must stay pinned for the pool's whole lifetime so late-forking workers inherit them, and serializing overlapping fan-outs is the lock's entire job
-                    return pool.map(_fork_hash_range, spans)
-            finally:
-                _FORK_EXPRS = None
-    max_depth = max(expr.depth for expr in todo)
-    with _DeepPickleGuard(max_depth):
-        payloads = [
-            (todo[start:stop], combiners.bits, combiners.seed)
-            for start, stop in spans
-        ]
-        with context.Pool(processes=n_procs) as pool:
-            return pool.map(_spawn_hash_chunk, payloads)
 
 
 def parallel_intern_corpus(

@@ -216,12 +216,10 @@ class ShardedExprStore(ExprStore):
 
     # -- interning -------------------------------------------------------------
 
-    #: The arena bulk-intern path has a lock-striped write branch for
-    #: sharded stores (see :func:`repro.store.arena_intern.intern_corpus_arena`);
-    #: :meth:`intern_many` wraps the whole batch in the memo lock so the
-    #: arena walk sees a consistent memo, exactly like serial interning.
-    _arena_intern_ok = True
-
+    # The arena bulk-intern path has a lock-striped write branch for
+    # sharded stores (see repro.store.arena_intern.intern_corpus_arena);
+    # intern_many wraps the whole batch in the memo lock so the arena
+    # walk sees a consistent memo, exactly like serial interning.
     def intern_many(self, exprs, engine: str = "auto") -> list[int]:
         with self._memo_lock:
             return super().intern_many(exprs, engine=engine)

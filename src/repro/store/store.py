@@ -18,7 +18,17 @@ alpha-equivalent -- exactly the key a content-addressed store needs.
   untouched -- is hashed once, not once per occurrence.  The memoised
   summary is enough to *resume* hashing mid-tree: a parent containing an
   already-seen subtree merges the cached free-variable map upward without
-  revisiting the subtree.
+  revisiting the subtree.  The single-expression verbs (:meth:`~ExprStore.
+  hash_expr`, :meth:`~ExprStore.hashes`, :meth:`~ExprStore.intern`) run
+  on it; streaming edits and the rewrite apps lean on its warmth.
+
+* **Batch path.**  :meth:`~ExprStore.hash_corpus` and
+  :meth:`~ExprStore.intern_many` compile the whole corpus into one
+  array arena and run the arena kernel (:mod:`repro.store.arena_intern`);
+  ``engine="auto"`` picks the vectorized kernel from
+  :data:`repro.core.arena.VEC_MIN_NODES` corpus nodes up, the scalar
+  kernel below.  A hash pass stashes its compile, so an
+  ``intern_many`` of the same corpus right after it reuses the arena.
 
 Soundness is the paper's: equal alpha-hash == alpha-equivalent, up to
 hash collisions (Theorem 6.7 bounds these below ~n/2^61 at the default
@@ -48,7 +58,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
-from repro.core.arena import engine_family, engine_kernel, plan_corpus_engine
+from repro.core.arena import choose_kernel
 from repro.core.combiners import HashCombiners, default_combiners
 from repro.core.hashed import AlphaHashes
 from repro.core.kernel import MemoRecord, summarise_tree
@@ -371,25 +381,24 @@ class ExprStore:
         return top
 
     def hash_corpus(self, exprs: Iterable[Expr], engine: str = "auto") -> list[int]:
-        """Batch :meth:`hash_expr`; repeated/overlapping trees hash once.
+        """Root alpha-hashes of a corpus, compiled into one arena.
 
-        ``engine`` picks the batch strategy: ``"tree"`` walks each item
-        through the memoised summariser; ``"arena"`` compiles the corpus
-        into a post-order array arena and runs the array kernel
-        (bit-identical hashes, no per-node memo warming -- see
-        :mod:`repro.store.arena_intern`), with ``"arena-vec"`` /
-        ``"arena-scalar"`` forcing the vectorized or scalar kernel;
-        ``"auto"`` (default) takes the arena above the planner's one
-        threshold constant (:data:`repro.api.plan.ARENA_NODE_THRESHOLD`,
-        resolved through :func:`repro.core.arena.plan_corpus_engine`).
+        Items the store already knows are answered from its caches; the
+        rest are flattened into a post-order array arena and hashed by
+        the arena kernel (bit-identical to :meth:`hash_expr`; no
+        per-node memo warming -- see :mod:`repro.store.arena_intern`).
+        ``engine`` picks the kernel: ``"auto"`` (default) runs the
+        vectorized kernel from :data:`repro.core.arena.VEC_MIN_NODES`
+        corpus nodes up when NumPy is importable, the scalar kernel
+        below; ``"arena-vec"`` / ``"arena-scalar"`` pin one.
         """
         corpus = exprs if isinstance(exprs, list) else list(exprs)
-        planned = plan_corpus_engine(engine, corpus) if corpus else engine
-        if corpus and engine_family(planned) == "arena":
-            from repro.store.arena_intern import hash_corpus_arena
+        kernel = choose_kernel(engine, sum(expr.size for expr in corpus))
+        if not corpus:
+            return []
+        from repro.store.arena_intern import hash_corpus_arena
 
-            return hash_corpus_arena(self, corpus, kernel=engine_kernel(planned))
-        return [self.hash_expr(e) for e in corpus]
+        return hash_corpus_arena(self, corpus, kernel=kernel)
 
     def hashes(self, expr: Expr) -> AlphaHashes:
         """An :class:`AlphaHashes` view over ``expr`` computed through the
@@ -517,35 +526,28 @@ class ExprStore:
         self._maybe_flush_memo()
         return ids[0]
 
-    #: Whether :meth:`intern_many` may take the arena bulk-intern path.
-    #: Subclasses with their own write discipline (the sharded store's
-    #: lock striping) opt out and keep the per-item path.
-    _arena_intern_ok = True
-
     def intern_many(self, exprs: Iterable[Expr], engine: str = "auto") -> list[int]:
         """Batch :meth:`intern`: one id per input, duplicates collapse.
 
-        ``engine="arena"`` (or ``"auto"`` above the node threshold)
-        compiles the corpus once and resolves every unique subtree class
-        against the intern table directly -- same classes, hashes and
-        ids as the serial path, with ``hits``/``misses`` counted per
+        The corpus is compiled into one arena (or the compile a
+        preceding :meth:`hash_corpus` of the same corpus cached is
+        reused) and every unique subtree class is resolved against the
+        intern table directly -- same classes, hashes and ids as
+        per-item :meth:`intern`, with ``hits``/``misses`` counted per
         unique class instead of per occurrence (see
-        :mod:`repro.store.arena_intern`).  LRU-bounded stores enforce
+        :mod:`repro.store.arena_intern`).  ``engine`` picks the kernel
+        exactly as in :meth:`hash_corpus`.  LRU-bounded stores enforce
         their bound once at the end of the batch (arena child links
         need every class live mid-batch), so the table may transiently
         exceed ``max_entries`` by the batch's unique-class count.
         """
         corpus = exprs if isinstance(exprs, list) else list(exprs)
-        planned = plan_corpus_engine(engine, corpus) if corpus else engine
-        if (
-            corpus
-            and self._arena_intern_ok
-            and engine_family(planned) == "arena"
-        ):
-            from repro.store.arena_intern import intern_corpus_arena
+        kernel = choose_kernel(engine, sum(expr.size for expr in corpus))
+        if not corpus:
+            return []
+        from repro.store.arena_intern import intern_corpus_arena
 
-            return intern_corpus_arena(self, corpus, kernel=engine_kernel(planned))
-        return [self.intern(e) for e in corpus]
+        return intern_corpus_arena(self, corpus, kernel=kernel)
 
     def _intern_one(
         self, node: Expr, rec: _MemoRecord, kid_ids: tuple[int, ...]

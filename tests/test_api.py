@@ -199,20 +199,21 @@ class TestSessionApps:
 
 
 class TestDeprecatedAblationRegistry:
-    def test_shim_warns_and_matches_old_shape(self):
-        import repro.evalharness.ablations as ablations
+    def test_registry_matches_old_shape(self):
+        """The removed ``ABLATION_VARIANTS`` dict's content, read from
+        its replacement: the unified registry plus ``sweep_label``."""
+        from repro.api.backends import ABLATION_ORDER
+        from repro.evalharness.ablations import sweep_label
 
-        with pytest.deprecated_call():
-            variants = ablations.ABLATION_VARIANTS
-        assert set(variants) == {"ours", "always_left", "recompute_vm", "lazy"}
+        assert set(ABLATION_ORDER) == {"ours", "always_left", "recompute_vm", "lazy"}
         # the historical display labels survive the registry unification
-        assert variants["ours"][0] == "Ours (full)"
-        assert variants["lazy"][0] == "Appendix C variant"
-        assert variants["always_left"][0] == "no smaller-subtree merge"
-        assert variants["recompute_vm"][0] == "no XOR maintenance"
+        assert sweep_label("ours") == "Ours (full)"
+        assert sweep_label("lazy") == "Appendix C variant"
+        assert sweep_label("always_left") == "no smaller-subtree merge"
+        assert sweep_label("recompute_vm") == "no XOR maintenance"
         e = parse(r"\x. x + 7")
-        for _label, fn in variants.values():
-            assert fn(e).root_hash is not None
+        for key in ABLATION_ORDER:
+            assert get_backend(key).hash_all(e).root_hash is not None
 
     def test_unknown_attribute_still_raises(self):
         import repro.evalharness.ablations as ablations

@@ -2,7 +2,7 @@
 
 The arena engine (:mod:`repro.core.arena`) re-implements the paper's
 single-pass hashing over a post-order struct-of-arrays compilation of
-the corpus.  Its one contract is *bit-identity* with the tree path --
+the corpus.  Its one contract is *bit-identity* with the tree oracle --
 :func:`repro.core.hashed.alpha_hash_all` -- on every input, at every
 combiner width, under every fan-out mode.  This wall pins that
 contract on adversarial corpora (deep chains, heavy sharing, shadowed
@@ -19,11 +19,12 @@ import pytest
 
 from repro.api import HashRequest, Session
 from repro.core.arena import (
-    ARENA_MIN_NODES,
+    HAVE_NUMPY,
+    VEC_MIN_NODES,
     ExprArena,
     arena_hash,
+    choose_kernel,
     flatten_corpus,
-    resolve_engine,
 )
 from repro.core.combiners import HashCombiners, default_combiners
 from repro.core.hashed import alpha_hash_all
@@ -40,10 +41,26 @@ from repro.store import (
 
 DEPTH_DEEP = 5000
 
+#: Every accepted engine value: the batch verbs must agree across all.
+ENGINE_CHOICES_HERE = ("auto", "arena-scalar") + (
+    ("arena-vec",) if HAVE_NUMPY else ()
+)
+
 
 def tree_hashes(corpus, combiners=None):
     """The reference: one alpha_hash_all pass per corpus item."""
     return [alpha_hash_all(e, combiners).root_hash for e in corpus]
+
+
+def memo_hashes(corpus):
+    """The per-item memoised store path (``hash_expr``), one store."""
+    store = ExprStore()
+    return [store.hash_expr(e) for e in corpus]
+
+
+def memo_intern(store, corpus):
+    """Per-item ``intern`` on ``store``: the batch path's id reference."""
+    return [store.intern(e) for e in corpus]
 
 
 def kernel_hashes(corpus, combiners=None):
@@ -304,31 +321,36 @@ class TestKernelMechanics:
         ref = arena_hash(arena, default_combiners())
         assert tops[roots[0]] == ref[roots[0]]
 
-    def test_resolve_engine(self):
-        assert resolve_engine("auto", ARENA_MIN_NODES) == "arena"
-        assert resolve_engine("auto", ARENA_MIN_NODES - 1) == "tree"
-        assert resolve_engine("arena", 1) == "arena"
-        assert resolve_engine("tree", 10**9) == "tree"
-        with pytest.raises(ValueError):
-            resolve_engine("warp", 100)
+    def test_choose_kernel(self):
+        vec = "vec" if HAVE_NUMPY else "scalar"
+        assert choose_kernel("auto", VEC_MIN_NODES) == vec
+        assert choose_kernel("auto", VEC_MIN_NODES - 1) == "scalar"
+        assert choose_kernel("arena-scalar", 10**9) == "scalar"
+        for retired in ("tree", "arena", "warp", 7):
+            with pytest.raises(ValueError, match="engine must be one of"):
+                choose_kernel(retired, 100)
 
 
 class TestStoreIntegration:
-    """engine= plumbing through ExprStore / Session / sharing."""
+    """engine= plumbing through ExprStore / Session / sharing.
+
+    The reference is the memoised per-item path (``hash_expr`` /
+    ``intern``), which the batch verbs must match exactly."""
 
     @pytest.fixture(scope="class")
     def corpus(self):
         return mixed_corpus(300, seed=31)
 
     def test_store_hash_corpus_engines_agree(self, corpus):
-        ref = ExprStore().hash_corpus(corpus, engine="tree")
-        assert ExprStore().hash_corpus(corpus, engine="arena") == ref
+        ref = memo_hashes(corpus)
+        for engine in ENGINE_CHOICES_HERE:
+            assert ExprStore().hash_corpus(corpus, engine=engine) == ref
 
     def test_store_arena_root_memo_answers_repeats(self, corpus):
         store = ExprStore()
-        first = store.hash_corpus(corpus, engine="arena")
+        first = store.hash_corpus(corpus)
         hits_before = store.stats.memo_hits
-        second = store.hash_corpus(corpus, engine="arena")
+        second = store.hash_corpus(corpus)
         assert second == first
         assert store.stats.memo_hits > hits_before
 
@@ -343,22 +365,22 @@ class TestStoreIntegration:
         """The repro-session flow: hash_corpus then intern_many of the
         same corpus must not flatten and hash the arena twice."""
         store = ExprStore()
-        hashes = store.hash_corpus(corpus, engine="arena")
+        hashes = store.hash_corpus(corpus)
         hashed_before = store.stats.hashed_nodes
-        ids = store.intern_many(corpus, engine="arena")
+        ids = store.intern_many(corpus)
         assert store.stats.hashed_nodes == hashed_before
         assert [store.hash_of(i) for i in ids] == hashes
-        assert ids == ExprStore().intern_many(corpus, engine="tree")
+        assert ids == memo_intern(ExprStore(), corpus)
 
     def test_intern_many_engines_agree(self, corpus):
-        by_tree = ExprStore().intern_many(corpus, engine="tree")
-        by_arena = ExprStore().intern_many(corpus, engine="arena")
-        assert by_arena == by_tree
+        by_item = memo_intern(ExprStore(), corpus)
+        for engine in ENGINE_CHOICES_HERE:
+            assert ExprStore().intern_many(corpus, engine=engine) == by_item
 
     def test_intern_many_arena_store_state_matches(self, corpus):
         tree_store, arena_store = ExprStore(), ExprStore()
-        tree_store.intern_many(corpus, engine="tree")
-        arena_store.intern_many(corpus, engine="arena")
+        memo_intern(tree_store, corpus)
+        arena_store.intern_many(corpus)
         assert len(arena_store) == len(tree_store)
         for entry in tree_store.entries():
             other = arena_store.lookup_hash(entry.hash)
@@ -367,32 +389,33 @@ class TestStoreIntegration:
 
     def test_lru_bounded_store_keeps_tree_path(self, corpus):
         bounded = ExprStore(max_entries=64)
-        ids = bounded.intern_many(corpus, engine="arena")
+        ids = bounded.intern_many(corpus)
         assert len(ids) == len(corpus)
         assert len(bounded) <= 64
 
     def test_sharded_store_hash_corpus_arena(self, corpus):
         sharded = ShardedExprStore(num_shards=4)
         assert (
-            sharded.hash_corpus(corpus, engine="arena")
-            == ExprStore().hash_corpus(corpus, engine="tree")
+            sharded.hash_corpus(corpus)
+            == memo_hashes(corpus)
         )
 
     def test_sharded_intern_stays_lock_striped(self, corpus):
         """Sharded ids encode the shard, so compare classes by hash:
-        same classes, same per-item resolution as the flat tree path."""
+        same classes, same per-item resolution as flat per-item intern."""
         sharded = ShardedExprStore(num_shards=4)
         flat = ExprStore()
-        sharded_ids = sharded.intern_many(corpus, engine="arena")
-        flat_ids = flat.intern_many(corpus, engine="tree")
+        sharded_ids = sharded.intern_many(corpus)
+        flat_ids = memo_intern(flat, corpus)
         assert [sharded.hash_of(i) for i in sharded_ids] == [
             flat.hash_of(i) for i in flat_ids
         ]
 
     def test_session_engine_plumbing(self, corpus):
-        ref = Session(engine="tree").hash_corpus(corpus)
-        assert Session(engine="arena").hash_corpus(corpus) == ref
-        assert Session().execute(HashRequest(corpus, engine="arena")) == ref
+        ref = memo_hashes(corpus)
+        for engine in ENGINE_CHOICES_HERE:
+            assert Session(engine=engine).hash_corpus(corpus) == ref
+            assert Session().execute(HashRequest(corpus, engine=engine)) == ref
 
     def test_session_rejects_unknown_engine(self):
         with pytest.raises(ValueError):
@@ -422,11 +445,11 @@ class TestStoreIntegration:
             )
 
     def test_snapshot_round_trips_engine(self, tmp_path):
-        session = Session(engine="tree")
+        session = Session(engine="arena-scalar")
         session.intern_many(mixed_corpus(5, seed=3))
         path = str(tmp_path / "s.snap")
         session.save(path)
-        assert Session.load(path).config.engine == "tree"
+        assert Session.load(path).config.engine == "arena-scalar"
 
 
 class TestSpawnParallel:
@@ -438,44 +461,44 @@ class TestSpawnParallel:
 
     @pytest.fixture(scope="class")
     def serial(self, corpus):
-        return ExprStore().hash_corpus(corpus, engine="tree")
+        return memo_hashes(corpus)
 
     def test_spawn_mode_bit_identity(self, corpus, serial):
         assert (
-            parallel_hash_corpus(corpus, workers=2, mode="spawn", engine="arena")
+            parallel_hash_corpus(corpus, workers=2, mode="spawn", engine="auto")
             == serial
         )
 
     def test_fork_mode_bit_identity(self, corpus, serial):
         assert (
-            parallel_hash_corpus(corpus, workers=2, mode="fork", engine="arena")
+            parallel_hash_corpus(corpus, workers=2, mode="fork", engine="auto")
             == serial
         )
 
     def test_thread_mode_bit_identity(self, corpus, serial):
         assert (
-            parallel_hash_corpus(corpus, workers=2, mode="thread", engine="arena")
+            parallel_hash_corpus(corpus, workers=2, mode="thread", engine="auto")
             == serial
         )
 
     def test_spawn_mode_depth_5000(self):
-        """The tree engine refuses spawn beyond MAX_PICKLE_DEPTH; the
-        arena engine must not -- arenas pickle iteratively."""
+        """Depth-5000 trees cannot be pickled directly (recursion); the
+        spawn fan-out must not care -- arenas pickle iteratively."""
         corpus = [left_skewed_app(DEPTH_DEEP), lam_chain(DEPTH_DEEP)] * 3
         serial = kernel_hashes(corpus)
         assert (
-            parallel_hash_corpus(corpus, workers=2, mode="spawn", engine="arena")
+            parallel_hash_corpus(corpus, workers=2, mode="spawn", engine="auto")
             == serial
         )
 
     def test_persistent_pool_reuse(self, corpus, serial):
         with WorkerPool(2, "spawn") as pool:
             first = parallel_hash_corpus(
-                corpus, workers=2, engine="arena", pool=pool
+                corpus, workers=2, engine="auto", pool=pool
             )
             assert pool.started
             second = parallel_hash_corpus(
-                corpus, workers=2, engine="arena", pool=pool
+                corpus, workers=2, engine="auto", pool=pool
             )
         assert first == serial and second == serial
         assert not pool.started
@@ -501,26 +524,17 @@ class TestSpawnParallel:
 
     def test_session_owns_pools_and_closes(self, corpus, serial):
         with Session(
-            workers=2, parallel_mode="spawn", engine="arena"
+            workers=2, parallel_mode="spawn", engine="auto"
         ) as session:
             assert session.hash_corpus(corpus) == serial
             assert session.hash_corpus(corpus) == serial
             assert session.stats()["live_pools"] == ["spawnx2"]
         assert session.stats()["live_pools"] == []
 
-    def test_session_tree_engine_registers_no_pool(self, corpus, serial):
-        """Tree-engine parallel calls cannot use a persistent pool, so
-        the session must not create one for them."""
-        with Session(
-            workers=2, parallel_mode="thread", engine="tree"
-        ) as session:
-            assert session.hash_corpus(corpus) == serial
-            assert session.stats()["live_pools"] == []
-
     def test_store_stats_fold_back(self, corpus):
         store = ExprStore()
         parallel_hash_corpus(
-            corpus, workers=2, mode="spawn", engine="arena", store=store
+            corpus, workers=2, mode="spawn", engine="auto", store=store
         )
         assert store.stats.hashed_nodes > 0
 
@@ -536,7 +550,7 @@ class TestSpawnParallel:
 
         def run(slot):
             outputs[slot] = parallel_hash_corpus(
-                corpus, workers=2, mode="thread", engine="arena", store=store
+                corpus, workers=2, mode="thread", engine="auto", store=store
             )
 
         threads = [threading.Thread(target=run, args=(t,)) for t in range(3)]

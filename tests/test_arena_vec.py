@@ -7,9 +7,9 @@ PR 6's contract has three legs, each pinned here:
   ``alpha_hash_all``) at every combiner width, on mixed/adversarial/
   depth-5000 corpora, under ``only=`` restriction and under
   memo-interleaved chunked passes that mix both kernels.
-* **No-NumPy fallback** -- ``kernel="auto"`` degrades to the scalar
-  kernel, forcing ``vec`` fails loudly (``ValueError`` at the kernel
-  layer, :class:`~repro.api.PlanError` at the planner), and the
+* **No-NumPy fallback** -- ``engine="auto"`` degrades to the scalar
+  kernel, forcing ``arena-vec`` fails loudly (``ValueError`` at the
+  kernel layer, :class:`~repro.api.PlanError` at the planner), and the
   shared-memory attach path works on ``memoryview`` columns alone.
 * **Lifecycle hygiene** -- shared-memory segments never outlive their
   batch (even when a worker is SIGKILLed mid-batch), a broken pool
@@ -34,17 +34,15 @@ from repro.api import HashRequest, PlanError, Session
 from repro.core import arena as arena_mod
 from repro.core import arena_shm as arena_shm_mod
 from repro.core.arena import (
-    ARENA_ENGINES,
     ENGINE_CHOICES,
     HAVE_NUMPY,
+    VEC_MIN_NODES,
     ArenaMemo,
     arena_hash,
     arena_hash_any,
     arena_hash_vec,
-    engine_family,
-    engine_kernel,
+    choose_kernel,
     flatten_corpus,
-    resolve_kernel,
 )
 from repro.core.arena_shm import (
     attach_arena,
@@ -53,6 +51,7 @@ from repro.core.arena_shm import (
     share_arena,
 )
 from repro.core.combiners import HashCombiners
+from repro.gen.random_exprs import random_expr
 from repro.store import ExprStore, WorkerPool, parallel_hash_corpus
 
 from test_arena import (
@@ -143,24 +142,65 @@ class TestVecDifferential:
         assert [tops[r] for r in uroots] == [reference[r] for r in uroots]
 
 
+def crossover_corpus(total_nodes: int, seed: int) -> list:
+    """Random items summing to exactly ``total_nodes`` nodes."""
+    corpus = []
+    remaining = total_nodes
+    while remaining:
+        size = min(40, remaining)
+        corpus.append(random_expr(size, seed=seed * 10_000 + len(corpus)))
+        remaining -= size
+    assert sum(e.size for e in corpus) == total_nodes
+    return corpus
+
+
+class TestCrossoverDifferential:
+    """Both kernels, every width, on corpora just below, at and just
+    above :data:`VEC_MIN_NODES`: the store's batch path must match
+    ``alpha_hash_all`` whichever kernel ``auto`` picks there."""
+
+    @pytest.fixture(scope="class", params=[-1, 0, 1], ids=["below", "at", "above"])
+    def corpus(self, request):
+        return crossover_corpus(VEC_MIN_NODES + request.param, seed=61)
+
+    @pytest.mark.parametrize("bits", WIDTHS)
+    @pytest.mark.parametrize(
+        "engine", ["auto", "arena-scalar", pytest.param("arena-vec", marks=needs_numpy)]
+    )
+    def test_store_batch_matches_oracle(self, corpus, bits, engine):
+        combiners = HashCombiners(bits=bits)
+        want = tree_hashes(corpus, combiners)
+        assert ExprStore(combiners).hash_corpus(corpus, engine=engine) == want
+
+    @pytest.mark.parametrize(
+        "engine", ["auto", "arena-scalar", pytest.param("arena-vec", marks=needs_numpy)]
+    )
+    def test_intern_hashes_match_oracle(self, corpus, engine):
+        store = ExprStore()
+        ids = store.intern_many(corpus, engine=engine)
+        assert [store.hash_of(i) for i in ids] == tree_hashes(corpus)
+
+
 class TestScalarFallback:
     """Behaviour of every layer when NumPy is (simulated) absent."""
 
     def test_resolve_kernel_auto_degrades(self, monkeypatch):
         monkeypatch.setattr(arena_mod, "HAVE_NUMPY", False)
-        assert resolve_kernel("auto") == "scalar"
+        assert choose_kernel("auto", 10 * VEC_MIN_NODES) == "scalar"
 
     def test_forced_vec_is_an_error(self, monkeypatch):
         monkeypatch.setattr(arena_mod, "HAVE_NUMPY", False)
         with pytest.raises(ValueError, match="requires NumPy"):
-            resolve_kernel("vec")
+            choose_kernel("arena-vec", 10)
 
     def test_arena_hash_any_auto_falls_back(self, monkeypatch):
         corpus = mixed_corpus(40, seed=3)
         arena, roots = flatten_corpus(corpus)
         reference = arena_hash(arena)
         monkeypatch.setattr(arena_mod, "HAVE_NUMPY", False)
-        assert arena_hash_any(arena, kernel="auto") == reference
+        kernel = choose_kernel("auto", 10 * VEC_MIN_NODES)
+        assert arena_hash_any(arena, kernel=kernel) == reference
+        assert ExprStore().hash_corpus(corpus * 40) == tree_hashes(corpus * 40)
 
     def test_planner_rejects_forced_vec(self, monkeypatch):
         monkeypatch.setattr(arena_mod, "HAVE_NUMPY", False)
@@ -174,7 +214,7 @@ class TestScalarFallback:
         monkeypatch.setattr(arena_mod, "HAVE_NUMPY", False)
         with Session() as session:
             plan = session.plan(
-                HashRequest(mixed_corpus(4, seed=1), engine="arena")
+                HashRequest(mixed_corpus(4, seed=1), engine="auto")
             )
         assert plan.kernel == "scalar"
         assert any("scalar fallback" in reason for reason in plan.reasons)
@@ -206,22 +246,25 @@ class TestEngineSurface:
     """The engine/kernel naming layer the API and CLI share."""
 
     def test_engine_choices_cover_the_family(self):
-        assert set(ARENA_ENGINES) == {"arena", "arena-vec", "arena-scalar"}
-        assert set(ARENA_ENGINES) < set(ENGINE_CHOICES)
-        assert "tree" in ENGINE_CHOICES and "auto" in ENGINE_CHOICES
+        assert ENGINE_CHOICES == ("auto", "arena-scalar", "arena-vec")
 
     @pytest.mark.parametrize(
-        "engine,family,kernel",
+        "engine,nodes,kernel",
         [
-            ("arena", "arena", "auto"),
-            ("arena-vec", "arena", "vec"),
-            ("arena-scalar", "arena", "scalar"),
-            ("tree", "tree", "auto"),
+            ("auto", VEC_MIN_NODES - 1, "scalar"),
+            ("auto", VEC_MIN_NODES, "vec" if HAVE_NUMPY else "scalar"),
+            ("arena-scalar", 10 * VEC_MIN_NODES, "scalar"),
         ],
     )
-    def test_family_and_kernel_split(self, engine, family, kernel):
-        assert engine_family(engine) == family
-        assert engine_kernel(engine) == kernel
+    def test_choose_kernel(self, engine, nodes, kernel):
+        assert choose_kernel(engine, nodes) == kernel
+
+    @pytest.mark.parametrize("engine", ["tree", "arena", "warp", 7, None])
+    def test_retired_and_unknown_engines_rejected(self, engine):
+        with pytest.raises(ValueError, match="auto, arena-scalar, arena-vec"):
+            choose_kernel(engine, 100)
+        with pytest.raises(ValueError, match="engine must be one of"):
+            ExprStore().hash_corpus([], engine=engine)
 
     def test_session_rejects_unknown_engine(self):
         with pytest.raises(ValueError, match="engine must be one of"):
@@ -232,7 +275,7 @@ class TestEngineSurface:
         corpus = mixed_corpus(60, seed=13)
         store = ExprStore()
         want = [store.hash_expr(e) for e in corpus]
-        for engine in ARENA_ENGINES:
+        for engine in ENGINE_CHOICES:
             assert ExprStore().hash_corpus(corpus, engine=engine) == want
 
     @needs_numpy
@@ -274,24 +317,24 @@ class TestSharedMemoryHygiene:
 
     def test_parallel_batches_leave_no_segments(self):
         corpus = mixed_corpus(80, seed=23)
-        want = ExprStore().hash_corpus(corpus, engine="arena")
+        want = ExprStore().hash_corpus(corpus, engine="auto")
         before = self._segments()
         with WorkerPool(workers=2, mode="spawn") as pool:
             got = parallel_hash_corpus(
-                corpus, workers=2, engine="arena", pool=pool
+                corpus, workers=2, engine="auto", pool=pool
             )
         assert got == want
         assert self._segments() <= before
 
     def test_worker_crash_unlinks_segments_and_pool_recovers(self):
         corpus = mixed_corpus(80, seed=27)
-        want = ExprStore().hash_corpus(corpus, engine="arena")
+        want = ExprStore().hash_corpus(corpus, engine="auto")
         before = self._segments()
         with WorkerPool(workers=2, mode="spawn") as pool:
             # Warm the pool so there are real workers to kill.
             assert (
                 parallel_hash_corpus(
-                    corpus, workers=2, engine="arena", pool=pool
+                    corpus, workers=2, engine="auto", pool=pool
                 )
                 == want
             )
@@ -302,7 +345,7 @@ class TestSharedMemoryHygiene:
                 time.sleep(0.05)
             with pytest.raises(BrokenProcessPool):
                 parallel_hash_corpus(
-                    corpus, workers=2, engine="arena", pool=pool
+                    corpus, workers=2, engine="auto", pool=pool
                 )
             # The crash path's finally must have unlinked the batch's
             # segment, and the broken executor must have been dropped
@@ -311,7 +354,7 @@ class TestSharedMemoryHygiene:
             assert not pool.started
             assert (
                 parallel_hash_corpus(
-                    corpus, workers=2, engine="arena", pool=pool
+                    corpus, workers=2, engine="auto", pool=pool
                 )
                 == want
             )
@@ -334,7 +377,7 @@ class TestWorkerPoolLifecycle:
     def test_gc_finalizer_drains_workers(self):
         corpus = mixed_corpus(40, seed=33)
         pool = WorkerPool(workers=2, mode="spawn")
-        parallel_hash_corpus(corpus, workers=2, engine="arena", pool=pool)
+        parallel_hash_corpus(corpus, workers=2, engine="auto", pool=pool)
         pids = list(pool._pool._processes)
         assert pids
         del pool
@@ -356,7 +399,7 @@ class TestWorkerPoolLifecycle:
             if __name__ == "__main__":  # spawn re-imports __main__
                 corpus = [random_expr(40, seed=i) for i in range(40)]
                 session = Session(workers=2, parallel_mode="spawn")
-                session.execute(HashRequest(corpus, engine="arena"))
+                session.execute(HashRequest(corpus, engine="auto"))
                 pids = [
                     pid
                     for pool in session._pools.values()

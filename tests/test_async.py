@@ -75,12 +75,14 @@ class TestAsyncBitIdentity:
     def test_engine_hints_flow_through(self, corpus, expected):
         async def main():
             async with AsyncSession() as asession:
-                tree = await asession.hash_corpus_async(corpus, engine="tree")
-                arena = await asession.hash_corpus_async(corpus, engine="arena")
-                return tree, arena
+                scalar = await asession.hash_corpus_async(
+                    corpus, engine="arena-scalar"
+                )
+                auto = await asession.hash_corpus_async(corpus, engine="auto")
+                return scalar, auto
 
-        tree, arena = asyncio.run(main())
-        assert tree == expected and arena == expected
+        scalar, auto = asyncio.run(main())
+        assert scalar == expected and auto == expected
 
 
 class TestConcurrentJobs:

@@ -305,3 +305,41 @@ class TestDeltaOverHTTP:
             with pytest.raises(ServiceError) as excinfo:
                 client._request("GET", "/v1/snapshot/delta?since=nope")
             assert excinfo.value.status == 400
+
+
+class TestRetiredEngineHints:
+    """``engine`` is an input boundary: the retired names (``tree``,
+    ``arena``) and non-strings get a 400 naming the accepted values --
+    on a node and through the coordinator -- and no store moves."""
+
+    BAD_ENGINES = ("tree", "arena", 7)
+    PATHS = ("/v1/hash", "/v1/intern", "/v1/session/open")
+
+    @staticmethod
+    def _versions(urls):
+        return [
+            ServiceClient(url)._json("GET", "/v1/metrics")["store"]["version"]
+            for url in urls
+        ]
+
+    def _assert_rejected(self, front_url, store_urls, corpus):
+        client = ServiceClient(front_url, retries=0)
+        before = self._versions(store_urls)
+        docs = [to_wire(e) for e in corpus[:5]]
+        for path in self.PATHS:
+            for engine in self.BAD_ENGINES:
+                with pytest.raises(ServiceError) as excinfo:
+                    client._json("POST", path, {"exprs": docs, "engine": engine})
+                assert excinfo.value.status == 400, (path, engine)
+                assert "auto, arena-scalar, arena-vec" in str(excinfo.value)
+        assert self._versions(store_urls) == before
+
+    def test_node_rejects_retired_engines(self, corpus):
+        with ReproServer(port=0) as node:
+            self._assert_rejected(node.url, [node.url], corpus)
+
+    def test_coordinator_rejects_retired_engines(self, cluster, corpus):
+        coordinator, nodes, _reply = cluster
+        self._assert_rejected(
+            coordinator.url, [node.url for node in nodes], corpus
+        )

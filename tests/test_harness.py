@@ -2,8 +2,8 @@
 
 import pytest
 
+from repro.api.backends import ABLATION_ORDER
 from repro.evalharness.ablations import (
-    ABLATION_VARIANTS,
     alpha_hash_all_always_left,
     alpha_hash_all_recompute_vm,
     run_ablations,
@@ -174,7 +174,7 @@ class TestOpCounts:
 
 class TestAblationVariants:
     def test_variants_registered(self):
-        assert set(ABLATION_VARIANTS) == {"ours", "always_left", "recompute_vm", "lazy"}
+        assert set(ABLATION_ORDER) == {"ours", "always_left", "recompute_vm", "lazy"}
 
     def test_always_left_is_still_correct(self):
         e = random_expr(300, seed=4, p_let=0.2)

@@ -5,7 +5,7 @@ must agree hash-for-hash, position-for-position with ``workers=1`` over
 any corpus -- random, adversarial, duplicate-heavy, or degenerate-deep
 -- in both pool flavours.  The 1k mixed-corpus differential below is
 the PR-3 satellite contract; the rest pins the engine's mechanics
-(deterministic chunking, dedup, store stat folding, worker merge).
+(deterministic chunking, dedup, store stat accounting, worker merge).
 """
 
 import random
@@ -24,7 +24,7 @@ from repro.store import (
     parallel_intern_corpus,
     resolve_workers,
 )
-from repro.store.parallel import _chunk_ranges, _dedup
+from repro.store.parallel import _chunk_ranges
 
 
 def mixed_corpus(n_items: int, seed: int = 5, size: int = 50):
@@ -109,10 +109,12 @@ class TestEngineMechanics:
                 assert covered == list(range(n_items))
 
     def test_dedup_maps_every_position(self):
+        """Repeats collapse in the arena; every input position still
+        gets its own item's hash."""
         a, b = Var("x"), Var("y")
-        uniq, positions = _dedup([a, b, a, a, b])
-        assert uniq == [a, b]
-        assert positions == [0, 1, 0, 0, 1]
+        ha, hb = ExprStore().hash_corpus([a, b])
+        got = parallel_hash_corpus([a, b, a, a, b], workers=2, mode="thread")
+        assert got == [ha, hb, ha, ha, hb]
 
     def test_resolve_workers(self):
         assert resolve_workers(3) == 3
@@ -150,8 +152,8 @@ class TestEngineMechanics:
         assert store.stats.hashed_nodes > 0
 
     def test_deep_corpus_fork_mode(self):
-        """Fork workers inherit the corpus; nothing pickles the trees,
-        so degenerate depth parallelises (pickle would recurse)."""
+        """Workers receive the arena, never the trees, so degenerate
+        depth parallelises (pickling a tree would recurse)."""
         deep = Var("x")
         for i in range(5000):
             deep = Lam(f"x{i}", deep)

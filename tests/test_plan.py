@@ -1,10 +1,9 @@
 """Tests for the request -> plan -> execute pipeline.
 
-The contract under test (ISSUE 5): the ``HashRequest`` ->
-``ExecutionPlan`` -> execute path is bit-identical to
-``alpha_hash_all`` across engines (tree/arena) and executors
-(serial/pool), legacy ``Session.hash_corpus(engine=..., workers=...)``
-kwargs still work behind a ``DeprecationWarning``, and third-party
+The contract under test: the ``HashRequest`` -> ``ExecutionPlan`` ->
+execute path is bit-identical to ``alpha_hash_all`` across arena
+kernels (scalar/vec) and executors (serial/pool), ``engine="auto"``
+picks the kernel at the one measured crossover, and third-party
 backends register through the ``repro.backends`` entry-point group.
 """
 
@@ -13,7 +12,6 @@ import random
 import pytest
 
 from repro.api import (
-    ARENA_NODE_THRESHOLD,
     BACKENDS,
     AsyncExecutor,
     ExecutionPlan,
@@ -26,7 +24,8 @@ from repro.api import (
     get_executor,
 )
 from repro.api.backends import _ALIASES, load_entry_point_backends
-from repro.core.arena import ARENA_MIN_NODES, plan_corpus_engine
+from repro.core import arena as arena_mod
+from repro.core.arena import HAVE_NUMPY, VEC_MIN_NODES
 from repro.core.hashed import alpha_hash_all
 from repro.gen.random_exprs import random_expr
 from repro.lang.parser import parse
@@ -73,8 +72,8 @@ class TestRequests:
 
     def test_hints_view(self, corpus):
         assert HashRequest(corpus).hints() == {}
-        assert HashRequest(corpus, engine="tree", workers=2).hints() == {
-            "engine": "tree",
+        assert HashRequest(corpus, engine="arena-scalar", workers=2).hints() == {
+            "engine": "arena-scalar",
             "workers": 2,
         }
 
@@ -86,27 +85,46 @@ class TestRequests:
 class TestPlanner:
     def test_auto_engine_consults_the_one_threshold(self, corpus):
         session = Session()
+        total = sum(e.size for e in corpus)
+        assert total < VEC_MIN_NODES  # the module corpus is small
         plan = session.plan(HashRequest(corpus))
-        assert plan.engine == "tree"  # tiny corpus
-        # The planner's constant and the arena module's are one value.
-        assert ARENA_NODE_THRESHOLD == ARENA_MIN_NODES
-        session.planner = Planner(arena_threshold=1)
-        replanned = session.plan(HashRequest(corpus))
+        assert plan.engine == "arena" and plan.kernel == "scalar"
+        if HAVE_NUMPY:
+            assert any(f"crossover {VEC_MIN_NODES}" in r for r in plan.reasons)
+        big = corpus * (VEC_MIN_NODES // total + 1)
+        replanned = session.plan(HashRequest(big))
         assert replanned.engine == "arena"
-        assert any("threshold 1" in r for r in replanned.reasons)
+        assert replanned.kernel == ("vec" if HAVE_NUMPY else "scalar")
 
-    def test_plan_corpus_engine_matches_planner(self, corpus):
-        # Store/parallel layers resolve "auto" through the same policy.
+    @pytest.mark.parametrize("numpy", [True, False])
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_auto_kernel_around_the_crossover(self, monkeypatch, numpy, offset):
+        """Just below, at and above the constant, with and without NumPy."""
+        monkeypatch.setattr(arena_mod, "HAVE_NUMPY", numpy)
+        leaf = parse("a")
+        corpus = [leaf] * (VEC_MIN_NODES + offset)
+        plan = Session().plan(HashRequest(corpus))
+        want = "vec" if numpy and offset >= 0 else "scalar"
+        assert (plan.engine, plan.kernel) == ("arena", want)
+
+    def test_choose_kernel_matches_planner(self, corpus):
+        # Store/parallel layers resolve "auto" through the same rule.
         session = Session()
-        assert (
-            plan_corpus_engine("auto", corpus)
-            == session.plan(HashRequest(corpus)).engine
-        )
+        for items in (corpus, corpus * 100):
+            total = sum(e.size for e in items)
+            assert (
+                arena_mod.choose_kernel("auto", total)
+                == session.plan(HashRequest(items)).kernel
+            )
+
+    def test_planner_takes_no_threshold(self):
+        with pytest.raises(TypeError):
+            Planner(arena_threshold=1)
 
     def test_plan_is_concrete_and_inspectable(self, corpus):
         plan = Session(workers=3).plan(HashRequest(corpus))
         assert isinstance(plan, ExecutionPlan)
-        assert plan.engine in ("tree", "arena")
+        assert plan.engine == "arena" and plan.kernel in ("vec", "scalar")
         assert plan.executor == "pool" and plan.workers == 3
         assert plan.corpus_items == len(corpus)
         text = plan.explain()
@@ -157,13 +175,17 @@ class TestPlanner:
 class TestExecuteBitIdentity:
     """The acceptance matrix: engines x executors == alpha_hash_all."""
 
-    @pytest.mark.parametrize("engine", ["tree", "arena"])
+    @pytest.mark.parametrize("engine", ["auto", "arena-scalar", "arena-vec"])
     def test_serial_executor(self, corpus, expected, engine):
+        if engine == "arena-vec" and not HAVE_NUMPY:
+            pytest.skip("NumPy not importable")
         session = Session()
         assert session.execute(HashRequest(corpus, engine=engine)) == expected
 
-    @pytest.mark.parametrize("engine", ["tree", "arena"])
+    @pytest.mark.parametrize("engine", ["auto", "arena-scalar", "arena-vec"])
     def test_pool_executor(self, corpus, expected, engine):
+        if engine == "arena-vec" and not HAVE_NUMPY:
+            pytest.skip("NumPy not importable")
         with Session() as session:
             request = HashRequest(corpus, engine=engine, workers=2)
             plan = session.plan(request)
@@ -203,19 +225,32 @@ class TestExecuteBitIdentity:
 
 
 class TestLegacyKwargShim:
-    def test_hash_corpus_kwargs_warn_and_agree(self, corpus, expected):
-        session = Session()
-        with pytest.warns(DeprecationWarning, match="HashRequest"):
-            legacy = session.hash_corpus(corpus, engine="tree")
-        assert legacy == expected
-        with Session() as pooled, pytest.warns(DeprecationWarning):
-            assert pooled.hash_corpus(corpus, workers=2) == expected
+    """The per-call ``workers=`` / ``mode=`` / ``engine=`` kwargs of
+    ``Session.hash_corpus`` / ``intern_many`` are gone: hints ride on a
+    request passed to ``execute``."""
 
-    def test_intern_many_kwargs_warn_and_agree(self, corpus):
+    def test_hash_corpus_kwargs_are_rejected(self, corpus, expected):
+        session = Session()
+        with pytest.raises(TypeError):
+            session.hash_corpus(corpus, engine="arena-scalar")
+        with pytest.raises(TypeError):
+            session.hash_corpus(corpus, workers=2)
+        with pytest.raises(TypeError):
+            session.hash_corpus(corpus, mode="thread")
+        request = HashRequest(corpus, engine="arena-scalar")
+        assert session.execute(request) == expected
+        with Session() as pooled:
+            assert pooled.execute(HashRequest(corpus, workers=2)) == expected
+
+    def test_intern_many_kwargs_are_rejected(self, corpus):
         reference = Session().intern_many(corpus)
         session = Session()
-        with pytest.warns(DeprecationWarning, match="InternRequest"):
-            assert session.intern_many(corpus, engine="tree") == reference
+        with pytest.raises(TypeError):
+            session.intern_many(corpus, engine="arena-scalar")
+        with pytest.raises(TypeError):
+            session.intern_many(corpus, workers=2)
+        request = InternRequest(corpus, engine="arena-scalar")
+        assert session.execute(request) == reference
 
     def test_plain_calls_do_not_warn(self, corpus, expected):
         import warnings

@@ -68,11 +68,11 @@ class TestHashEndpoint:
 
     def test_remote_plan_is_echoed(self, client, corpus):
         hashes, plan = client.hash_corpus(
-            corpus, engine="arena", with_plan=True
+            corpus, engine="arena-scalar", with_plan=True
         )
-        assert plan["engine"] == "arena"
+        assert plan["engine"] == "arena" and plan["kernel"] == "scalar"
         assert plan["executor"] == "serial"
-        assert hashes == client.hash_corpus(corpus, engine="tree")
+        assert hashes == client.hash_corpus(corpus, engine="auto")
 
     def test_alternate_backend(self, client):
         expr = parse(r"\x. x + 7")

@@ -337,3 +337,49 @@ class TestSessionCLI:
             main(["session", *corpus_files, *argv])
         assert excinfo.value.code == 2
         capsys.readouterr()
+
+
+class TestRetiredEngineSnapshots:
+    """Snapshots saved by ``Session(engine="tree")`` (or ``"arena"``)
+    before those names were retired must keep loading, as ``auto``."""
+
+    @staticmethod
+    def _legacy_meta(engine: str) -> dict:
+        # Byte-for-byte the meta block Session.save wrote for such a
+        # session: the backend name plus the asdict() of its config.
+        return {
+            "backend": "ours",
+            "config": {
+                "backend": "ours",
+                "bits": 64,
+                "seed": None,
+                "use_store": True,
+                "max_entries": None,
+                "memo_limit": None,
+                "workers": 1,
+                "parallel_mode": "process",
+                "num_shards": None,
+                "engine": engine,
+            },
+        }
+
+    @pytest.mark.parametrize("engine", ["tree", "arena"])
+    def test_load_adopts_retired_engine_as_auto(self, tmp_path, engine):
+        from repro.store import snapshot_to_bytes
+
+        corpus = [random_expr(30, seed=i) for i in range(8)]
+        store = ExprStore()
+        ids = store.intern_many(corpus)
+        path = str(tmp_path / "legacy.snap")
+        write_snapshot(store, path, meta=self._legacy_meta(engine))
+        header, = [json.loads(open(path, "rb").readline())]
+        assert header["meta"]["config"]["engine"] == engine
+
+        loaded = Session.load(path)
+        assert loaded.config.engine == "auto"
+        assert loaded.intern_many(corpus) == ids
+        assert loaded.hash_corpus(corpus) == [
+            alpha_hash_all(e).root_hash for e in corpus
+        ]
+        data = snapshot_to_bytes(store, meta=self._legacy_meta(engine))
+        assert Session.from_snapshot_bytes(data).config.engine == "auto"
