@@ -13,7 +13,7 @@ behind one facade:
   determinism and resource hints.
 * the planner (:mod:`repro.api.plan`) -- resolves a request against a
   session into an inspectable :class:`ExecutionPlan` (arena kernel,
-  workers, pool mode, executor); ``engine="auto"`` picks the kernel at
+  workers, executor); ``engine="auto"`` picks the kernel at
   one measured size crossover.
 * executors (:mod:`repro.api.executors`) -- pluggable runners
   (``serial`` / ``pool`` / ``async``) that drive the store and the

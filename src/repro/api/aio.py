@@ -116,13 +116,10 @@ class AsyncSession:
         backend: Optional[str] = None,
         engine: Optional[str] = None,
         workers: Optional[int] = None,
-        mode: Optional[str] = None,
     ) -> list[int]:
         """Awaitable corpus hashing; bit-identical to the sync path."""
         return await self.execute_async(
-            HashRequest(
-                exprs, backend=backend, engine=engine, workers=workers, mode=mode
-            )
+            HashRequest(exprs, backend=backend, engine=engine, workers=workers)
         )
 
     async def intern_many_async(
@@ -133,8 +130,7 @@ class AsyncSession:
         workers: Optional[int] = None,
     ) -> list[int]:
         """Awaitable batch interning (same contract as
-        :meth:`Session.intern_many`: classes/hashes bit-identical,
-        ids encode arrival order)."""
+        :meth:`Session.intern_many`)."""
         return await self.execute_async(
             InternRequest(exprs, engine=engine, workers=workers)
         )

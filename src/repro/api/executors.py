@@ -4,16 +4,16 @@ The third stage of the request -> plan -> execute pipeline.  An
 executor receives the session, the original request and the resolved
 plan, and drives exactly the mechanism layers that already existed --
 ``ExprStore.hash_corpus`` / ``intern_many`` serially,
-``parallel_hash_corpus`` / ``parallel_intern_corpus`` over pools -- so
-results are bit-identical to the pre-pipeline paths by construction.
+``parallel_hash_corpus`` over the session's process pool -- so results
+are bit-identical to the pre-pipeline paths by construction.
 
 Three executors ship:
 
 * :class:`SerialExecutor` (``"serial"``) -- in-process, store-batched
   when the backend is store-backed, otherwise one backend pass per
   expression;
-* :class:`PooledExecutor` (``"pool"``) -- fans the corpus out over the
-  session-owned persistent :class:`~repro.store.WorkerPool`s;
+* :class:`PooledExecutor` (``"pool"``) -- fans a hash corpus out over
+  the session-owned persistent :class:`~repro.store.WorkerPool`;
 * :class:`AsyncExecutor` (``"async"``) -- a thread-bridge that runs
   either of the above off the calling thread and returns a
   ``concurrent.futures.Future``; :class:`~repro.api.aio.AsyncSession`
@@ -30,7 +30,7 @@ import threading
 from concurrent.futures import Future, ThreadPoolExecutor
 from typing import TYPE_CHECKING, Callable, Optional, Protocol, runtime_checkable
 
-from repro.store.parallel import parallel_hash_corpus, parallel_intern_corpus
+from repro.store.parallel import parallel_hash_corpus
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.api.plan import ExecutionPlan
@@ -83,27 +83,26 @@ class SerialExecutor:
 
 
 class PooledExecutor:
-    """Fan the corpus out over worker pools (bit-identical to serial).
+    """Fan a hash corpus out over the session's process pool
+    (bit-identical to serial).
 
-    Hash plans reuse the session-owned persistent
-    :class:`~repro.store.WorkerPool` for the plan's ``(mode, workers)``
-    shape.
+    Plans reuse the session-owned persistent
+    :class:`~repro.store.WorkerPool` of the plan's worker count.
+    Intern plans run serially: the arena bulk intern beats any merge
+    of worker tables (the planner never routes them here).
     """
 
     name = "pool"
 
     def run(self, session, request, plan) -> list[int]:
-        corpus = list(request.exprs)
         if plan.kind == "intern":
-            store = session._require_store("intern requests")
-            return parallel_intern_corpus(corpus, store, workers=plan.workers)
+            return _SERIAL.run(session, request, plan)
         return parallel_hash_corpus(
-            corpus,
+            request.exprs,
             workers=plan.workers,
-            mode=plan.mode,
             store=session.store,
             engine=f"arena-{plan.kernel}",
-            pool=session._pool_for(plan.mode, plan.workers),
+            pool=session._pool_for(plan.workers),
         )
 
 
@@ -115,8 +114,8 @@ class AsyncExecutor:
     ``run`` blocks on it, satisfying the :class:`Executor` protocol.
     Jobs against one session are serialised with a lock -- the store's
     summary memo is the shared resource -- while the corpus *inside* a
-    job still fans out over worker pools per its plan.  A bounded
-    ``max_workers`` caps the threads; :class:`~repro.api.aio.
+    job still fans out over the session's process pool per its plan.  A
+    bounded ``max_workers`` caps the threads; :class:`~repro.api.aio.
     AsyncSession` adds the asyncio semantics (awaitables, cancellation,
     bounded in-flight jobs) on top.
     """

@@ -4,8 +4,8 @@ The :class:`Planner` turns a declarative :class:`~repro.api.request.
 HashRequest` / :class:`~repro.api.request.InternRequest` plus a
 :class:`~repro.api.session.Session` into an :class:`ExecutionPlan` --
 every decision the scattered kwargs of PRs 3-4 used to make inline
-(arena kernel, worker count, pool flavour, serial vs pooled executor)
-is made **here, once**, and the result is a frozen record the caller
+(arena kernel, worker count, serial vs pooled executor) is made
+**here, once**, and the result is a frozen record the caller
 can inspect, log, or ship over the wire before anything runs::
 
     plan = session.plan(HashRequest(corpus, workers=4))
@@ -22,6 +22,15 @@ importable, the scalar kernel otherwise.  The rule lives in
 :func:`repro.core.arena.choose_kernel`, which the store's batch entry
 points call too, so a planned request and a direct
 ``ExprStore.hash_corpus`` call can never disagree.
+
+Executor policy
+---------------
+
+A hash request with ``workers > 1``, a store-backed backend and more
+than one item runs on the session's process pool; everything else runs
+serially.  Intern requests always run serially: the arena bulk intern
+measured 9-13x faster than interning in workers and merging their
+tables, so there is nothing to fan out.
 """
 
 from __future__ import annotations
@@ -48,7 +57,7 @@ class PlanError(ValueError):
 class ExecutionPlan:
     """Every resolved decision for one request, before anything runs.
 
-    ``engine``, ``kernel``, ``workers`` and ``mode`` are concrete (no
+    ``engine``, ``kernel`` and ``workers`` are concrete (no
     ``"auto"``, no ``None``); ``executor`` names the registered
     executor that will carry the plan out (:mod:`repro.api.executors`);
     ``reasons`` records one line per decision for :meth:`explain`.
@@ -59,7 +68,6 @@ class ExecutionPlan:
     store_backed: bool  #: whether the store's memo serves this backend
     engine: str  #: always ``"arena"``, the one batch engine
     workers: int  #: resolved pool size (1 = serial)
-    mode: str  #: pool flavour, meaningful when ``workers > 1``
     executor: str  #: ``"serial"`` or ``"pool"``
     corpus_items: int  #: expressions in the request
     total_nodes: int  #: total AST nodes across the corpus
@@ -79,8 +87,8 @@ class ExecutionPlan:
             f"{self.kind} {self.corpus_items} expression(s), "
             f"{self.total_nodes} nodes -> engine={self.engine}, "
             f"kernel={self.kernel}, "
-            f"executor={self.executor}, workers={self.workers} "
-            f"({self.mode}), backend={self.backend}"
+            f"executor={self.executor}, workers={self.workers}, "
+            f"backend={self.backend}"
         )
         return "\n".join([head, *(f"  - {r}" for r in self.reasons)])
 
@@ -137,7 +145,6 @@ class Planner:
         workers = resolve_workers(
             session.config.workers if request.workers is None else request.workers
         )
-        mode = request.mode or session.config.parallel_mode
         engine_hint = request.engine or session.config.engine
 
         total_nodes = request.total_nodes
@@ -156,9 +163,17 @@ class Planner:
             )
 
         # Executor selection mirrors (and replaces) the inline branch
-        # the Session facade used to carry: fan out only when there is
-        # a store to cooperate with and more than one item to fan.
-        if workers > 1 and not store_backed and request.kind == "hash":
+        # the Session facade used to carry: fan out only hash requests,
+        # and only when there is a store to cooperate with and more
+        # than one item to fan.
+        if request.kind == "intern":
+            reasons.append(
+                "intern runs serially: the arena bulk intern beats "
+                "merging worker tables"
+            )
+            executor = "serial"
+            workers = 1
+        elif workers > 1 and not store_backed:
             reasons.append(
                 f"backend {backend.name!r} times its own pass; staying serial"
             )
@@ -167,7 +182,7 @@ class Planner:
         elif workers > 1 and len(request.exprs) > 1:
             executor = "pool"
             reasons.append(
-                f"{workers} workers over a {mode} pool "
+                f"{workers} workers over the session's process pool "
                 f"({len(request.exprs)} items)"
             )
         else:
@@ -185,7 +200,6 @@ class Planner:
             store_backed=store_backed,
             engine="arena",
             workers=workers,
-            mode=mode,
             executor=executor,
             corpus_items=len(request.exprs),
             total_nodes=total_nodes,

@@ -1,14 +1,13 @@
 """Declarative work requests: what to run, not how to run it.
 
-PRs 3 and 4 grew the execution knobs (``workers``, ``parallel_mode``,
-``engine``, shard counts) organically onto every call site; this module
+PRs 3 and 4 grew the execution knobs (``workers``, ``engine``, shard
+counts) organically onto every call site; this module
 is the other half of the redesign that pulls them back behind one
 declarative record.  A request carries *intent* only:
 
 * :class:`HashRequest` -- "alpha-hash this corpus", plus optional
   backend, determinism hints (``bits``/``seed``, validated against the
-  executing session) and resource hints (``engine``/``workers``/
-  ``mode``);
+  executing session) and resource hints (``engine``/``workers``);
 * :class:`InternRequest` -- "intern this corpus", same hints.
 
 ``None`` for any hint means "the session's configured default".  A
@@ -32,7 +31,6 @@ from typing import Iterable, Optional
 
 from repro.core.arena import ENGINE_CHOICES
 from repro.lang.expr import Expr
-from repro.store.parallel import PARALLEL_MODES
 
 __all__ = ["HashRequest", "InternRequest", "ENGINES"]
 
@@ -71,8 +69,6 @@ class HashRequest:
     workers:
         Pool size hint (``0`` = one per CPU, ``1`` = serial); ``None``
         defers to the session default.
-    mode:
-        Worker pool flavour (:data:`~repro.store.parallel.PARALLEL_MODES`).
     bits / seed:
         Determinism hints: when set, planning fails loudly unless the
         executing session's combiner family matches -- a request built
@@ -83,7 +79,6 @@ class HashRequest:
     backend: Optional[str] = None
     engine: Optional[str] = None
     workers: Optional[int] = None
-    mode: Optional[str] = None
     bits: Optional[int] = None
     seed: Optional[int] = None
 
@@ -107,10 +102,6 @@ class HashRequest:
             raise ValueError(
                 f"engine must be one of {', '.join(ENGINES)}, "
                 f"got {self.engine!r}"
-            )
-        if self.mode is not None and self.mode not in PARALLEL_MODES:
-            raise ValueError(
-                f"mode must be one of {PARALLEL_MODES}, got {self.mode!r}"
             )
         if self.workers is not None and self.workers < 0:
             raise ValueError(f"workers must be >= 0, got {self.workers}")
@@ -149,9 +140,8 @@ class InternRequest(HashRequest):
     """One corpus-interning job: same hints, interning semantics.
 
     Interning always needs a store (planning fails on store-less
-    sessions) and its parallel path merges worker intern tables back
-    shard-by-shard; node *ids* may differ from serial order, classes
-    and hashes are bit-identical (the store's contract).
+    sessions) and always runs serially through the arena bulk intern,
+    whatever ``workers`` says (see :mod:`repro.api.plan`).
     """
 
     kind = "intern"

@@ -51,7 +51,6 @@ from repro.store import (
     WorkerPool,
     read_snapshot,
 )
-from repro.store.parallel import PARALLEL_MODES
 
 __all__ = ["Session", "SessionConfig", "SessionError"]
 
@@ -78,13 +77,12 @@ class SessionConfig:
     Scaling knobs: ``num_shards`` (when set) backs the session with a
     lock-striped :class:`~repro.store.ShardedExprStore`; ``workers``
     sets the *default* pool size for :meth:`Session.hash_corpus` /
-    :meth:`Session.intern_many` (``1`` = serial, ``0`` = one per CPU);
-    ``parallel_mode`` picks the pool flavour (``"process"`` for
-    CPU-bound corpus hashing -- the sensible default under the GIL --
-    ``"fork"``/``"spawn"`` to force one start method, or ``"thread"``);
-    ``engine`` picks the arena kernel for corpus batches (``"auto"``
-    chooses by corpus size, ``"arena-scalar"``/``"arena-vec"`` pin one
-    -- see the README's "Arena kernel" section).
+    :meth:`Session.intern_many` (``1`` = serial, ``0`` = one per CPU;
+    hash batches fan out over one session-owned process pool, interning
+    always runs serially); ``engine`` picks the arena kernel for corpus
+    batches (``"auto"`` chooses by corpus size,
+    ``"arena-scalar"``/``"arena-vec"`` pin one -- see the README's
+    "Arena kernel" section).
     """
 
     backend: str = "ours"
@@ -94,7 +92,6 @@ class SessionConfig:
     max_entries: Optional[int] = None
     memo_limit: Optional[int] = None
     workers: int = 1
-    parallel_mode: str = "process"
     num_shards: Optional[int] = None
     engine: str = "auto"
 
@@ -120,22 +117,17 @@ class Session:
             raise TypeError(
                 "pass either a SessionConfig or keyword overrides, not both"
             )
-        if config.parallel_mode not in PARALLEL_MODES:
-            raise ValueError(
-                f"parallel_mode must be one of {PARALLEL_MODES}, got "
-                f"{config.parallel_mode!r}"
-            )
         if config.engine not in ENGINE_CHOICES:
             raise ValueError(
                 f"engine must be one of {', '.join(ENGINE_CHOICES)}, got "
                 f"{config.engine!r}"
             )
         self.config = config
-        #: Long-lived worker pools keyed by (mode, size), created on
+        #: Long-lived process pools keyed by worker count, created on
         #: first parallel use and reused across hash_corpus calls until
-        #: close() -- the fork/spawn cost is paid once per session, not
-        #: once per batch.
-        self._pools: dict[tuple[str, int], WorkerPool] = {}
+        #: close() -- the process start-up cost is paid once per
+        #: session, not once per batch.
+        self._pools: dict[int, WorkerPool] = {}
         #: The policy stage of the request -> plan -> execute pipeline.
         self.planner = Planner()
         self.backend: HasherBackend = get_backend(config.backend)
@@ -183,19 +175,18 @@ class Session:
             return self.store.hashes(expr)
         return self.backend.hash_all(expr, self.combiners)
 
-    def _pool_for(self, mode: str, workers: int) -> WorkerPool:
-        key = (mode, workers)
-        pool = self._pools.get(key)
+    def _pool_for(self, workers: int) -> WorkerPool:
+        pool = self._pools.get(workers)
         if pool is None:
-            pool = WorkerPool(workers, mode)
-            self._pools[key] = pool
+            pool = WorkerPool(workers)
+            self._pools[workers] = pool
         return pool
 
     # -- the request -> plan -> execute pipeline -------------------------------
 
     def plan(self, request: HashRequest) -> ExecutionPlan:
         """Resolve ``request`` into an inspectable :class:`ExecutionPlan`
-        (engine, workers, pool mode, executor) without running anything.
+        (kernel, workers, executor) without running anything.
         See :mod:`repro.api.plan` for the policy."""
         return self.planner.plan(self, request)
 
@@ -224,7 +215,7 @@ class Session:
         """Root hashes of a whole corpus, store-batched when possible.
 
         Sugar for ``execute(HashRequest(exprs))``: the session's
-        configured ``workers`` / ``parallel_mode`` / ``engine`` become
+        configured ``workers`` / ``engine`` become
         the planner's defaults, and results are **bit-identical** to the
         serial path regardless of the plan.  To override them for one
         call, pass a :class:`~repro.api.request.HashRequest` carrying
@@ -235,8 +226,8 @@ class Session:
     def close(self) -> None:
         """Shut down the session's persistent worker pools (idempotent).
 
-        The store and its caches survive -- only pool processes/threads
-        are released.  Sessions are also context managers::
+        The store and its caches survive -- only pool processes are
+        released.  Sessions are also context managers::
 
             with Session(workers=4) as session:
                 session.hash_corpus(corpus)   # pool reused across calls
@@ -268,12 +259,9 @@ class Session:
     def intern_many(self, exprs: Iterable[Expr]) -> list[int]:
         """Batch :meth:`intern`: one id per input, duplicates collapse.
 
-        Sugar for ``execute(InternRequest(exprs))``.  Pooled plans
-        intern slices in worker processes and merge the tables back
-        shard-by-shard over the snapshot wire format: the resulting
-        *classes and hashes* are bit-identical to the serial path; node
-        ids may differ (ids encode arrival order, and were never stable
-        across store instances).  Per-call hints ride on an
+        Sugar for ``execute(InternRequest(exprs))``.  Interning always
+        runs serially through the arena bulk intern, whatever the
+        session's ``workers``.  Per-call hints ride on an
         :class:`~repro.api.request.InternRequest` passed to
         :meth:`execute`.
         """
@@ -345,9 +333,7 @@ class Session:
                 out["shard_sizes"] = self.store.shard_sizes()
         out["workers"] = self.config.workers
         out["engine"] = self.config.engine
-        out["live_pools"] = sorted(
-            f"{mode}x{workers}" for mode, workers in self._pools
-        )
+        out["live_pools"] = sorted(self._pools)
         return out
 
     # -- persistence -----------------------------------------------------------
@@ -391,8 +377,9 @@ class Session:
         :meth:`from_snapshot_bytes` (and journal checkpoint recovery).
 
         A saved config naming a retired engine (``"tree"``,
-        ``"arena"``) is adopted as ``"auto"``, so snapshots written by
-        older releases keep loading."""
+        ``"arena"``) is adopted as ``"auto"``, and saved keys this
+        release no longer has (such as the retired pool flavour) are
+        ignored, so snapshots written by older releases keep loading."""
         meta = header.get("meta") or {}
         saved_config = meta.get("config") or {}
         engine = saved_config.get("engine", "auto")
@@ -413,7 +400,6 @@ class Session:
             max_entries=header.get("max_entries"),
             memo_limit=header.get("memo_limit"),
             workers=saved_config.get("workers", 1),
-            parallel_mode=saved_config.get("parallel_mode", "process"),
             num_shards=num_shards,
             engine=engine,
         )

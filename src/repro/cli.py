@@ -230,12 +230,6 @@ def _run_hash(rest: Sequence[str]) -> int:
         "bit-identical to --workers 1",
     )
     parser.add_argument(
-        "--parallel-mode",
-        choices=("process", "fork", "spawn", "thread"),
-        default="process",
-        help="worker pool flavour (process is right for CPU-bound hashing)",
-    )
-    parser.add_argument(
         "--engine",
         choices=ENGINE_CHOICES,
         default="auto",
@@ -253,7 +247,6 @@ def _run_hash(rest: Sequence[str]) -> int:
         bits=args.bits,
         seed=args.seed,
         workers=args.workers,
-        parallel_mode=args.parallel_mode,
         engine=args.engine,
     ) as session:
         exprs = [_read_expr(path) for path in args.files]
@@ -315,14 +308,8 @@ def _run_session(rest: Sequence[str]) -> int:
         "--workers",
         type=int,
         default=1,
-        help="hash/intern the corpus on N workers (0 = one per CPU); "
-        "hashes are bit-identical to --workers 1",
-    )
-    parser.add_argument(
-        "--parallel-mode",
-        choices=("process", "fork", "spawn", "thread"),
-        default="process",
-        help="worker pool flavour for --workers",
+        help="hash the corpus on N workers (0 = one per CPU; interning "
+        "always runs serially); hashes are bit-identical to --workers 1",
     )
     parser.add_argument(
         "--engine",
@@ -413,7 +400,6 @@ def _run_session(rest: Sequence[str]) -> int:
             use_store=not args.no_store,
             max_entries=args.max_entries,
             workers=args.workers,
-            parallel_mode=args.parallel_mode,
             num_shards=args.num_shards,
             engine=args.engine,
         )
@@ -437,7 +423,6 @@ def _session_report(session, args, exprs) -> int:
         HashRequest(
             exprs,
             workers=args.workers,
-            mode=args.parallel_mode,
             engine=args.engine,
         )
     )

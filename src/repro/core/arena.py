@@ -35,15 +35,15 @@ This module *compiles* a corpus once into an :class:`ExprArena`:
   that rule lives (``engine="auto"``); ``"arena-scalar"`` and
   ``"arena-vec"`` pin a kernel.
 
-Arenas are also cheap to ship: pickling a handful of flat arrays is
-iterative and O(bytes), so arbitrarily deep corpora cross a ``spawn``
-process boundary that would overflow the C stack if the trees
+Arenas are also cheap to ship: a handful of flat arrays, so
+arbitrarily deep corpora cross a process boundary -- as one
+shared-memory segment (:mod:`repro.core.arena_shm`) or a pickle, both
+iterative and O(bytes) -- that would overflow the C stack if the trees
 themselves were pickled (see :mod:`repro.store.parallel`).
 """
 
 from __future__ import annotations
 
-import threading
 from array import array
 from typing import Iterable, Optional, Sequence
 
@@ -70,7 +70,6 @@ HAVE_NUMPY = _np is not None
 
 __all__ = [
     "ExprArena",
-    "ArenaMemo",
     "arena_hash",
     "arena_hash_vec",
     "arena_hash_any",
@@ -530,7 +529,6 @@ def arena_hash(
     arena: ExprArena,
     combiners: Optional[HashCombiners] = None,
     only: Optional[Sequence[int]] = None,
-    memo: Optional["ArenaMemo"] = None,
 ) -> list[Optional[int]]:
     """Alpha-hash every arena node; ``tops[i]`` is node ``i``'s hash.
 
@@ -545,13 +543,10 @@ def arena_hash(
 
     ``only`` restricts work to the downward closure of the given roots
     (other slots come back ``None``) -- this is the unit the parallel
-    engine fans out.  ``memo``, an :class:`ArenaMemo`, seeds the pass
-    with summaries other chunks already computed and publishes this
-    pass's results back, so thread-mode fan-out stops re-walking shared
-    subtrees (seeded maps are never stolen -- every reference copies).
-    Bit-identical to :func:`~repro.core.hashed.alpha_hash_all` at every
-    width; the single-lane fast path below inlines the splitmix64
-    chains, the multi-lane widths go through the same recipes via
+    engine fans out.  Bit-identical to
+    :func:`~repro.core.hashed.alpha_hash_all` at every width; the
+    single-lane fast path below inlines the splitmix64 chains, the
+    multi-lane widths go through the same recipes via
     :func:`~repro.core.kernel.combine_chain`.
     """
     if combiners is None:
@@ -568,23 +563,14 @@ def arena_hash(
     aux, sizes = arena.aux.tolist(), arena.sizes.tolist()
 
     names, literals = arena.names, arena.literals
-    done = memo.snapshot_done() if memo is not None else None
-    seeded: list[int] = []
-    if only is None and done is None:
+    if only is None:
         indices: Sequence[int] = range(n)
         # Leaf tables: one hash per interned name / literal, not per node.
         name_h = [combiners.hash_name(name) for name in names]
         lit_s = [slit_hash(combiners, value) for value in literals]
     else:
-        if only is not None:
-            mask = arena.closure(only)
-        else:
-            mask = b"\x01" * n
-        if done is None:
-            indices = [i for i in range(n) if mask[i]]
-        else:
-            indices = [i for i in range(n) if mask[i] and not done[i]]
-            seeded = [i for i in range(n) if mask[i] and done[i]]
+        mask = arena.closure(only)
+        indices = [i for i in range(n) if mask[i]]
         # The leaf tables are shared arena-wide; a restricted pass (one
         # parallel chunk of many) hashes only the entries its closure
         # touches, so per-chunk setup scales with the chunk.
@@ -596,13 +582,6 @@ def arena_hash(
                 lit_used[aux[i]] = 1
             elif opc != OP_APP:
                 name_used[aux[i]] = 1
-        # Seeded free-variable maps are keyed by name id too: merges
-        # above a seeded subtree dereference those entry chains.
-        for i in seeded:
-            vm = memo.vms[i]
-            if vm:
-                for nid in vm:
-                    name_used[nid] = 1
         # None marks slots the closure never dereferences (map keys and
         # binder removals only involve names of in-closure Vars); the
         # derived entry_pre/var_entry tables skip them too.
@@ -629,12 +608,6 @@ def arena_hash(
     vms: list = [None] * n
     tops: list = [None] * n
 
-    for i in seeded:
-        shs[i] = memo.shs[i]
-        vmhs[i] = memo.vmhs[i]
-        vms[i] = memo.vms[i]
-        tops[i] = memo.tops[i]
-
     # Reference counts: how many parents will consume each node's map.
     # (Children of in-closure nodes are in the closure by construction.)
     uses = [0] * n
@@ -645,15 +618,6 @@ def arena_hash(
         child = right[i]
         if child >= 0:
             uses[child] += 1
-    if memo is not None:
-        # One phantom reference per node keeps every map alive (and, for
-        # seeded nodes, unstolen): the published dicts are shared across
-        # threads and must never be mutated, and the fresh ones survive
-        # the pass so merge() below can publish them.
-        for i in indices:
-            uses[i] += 1
-        for i in seeded:
-            uses[i] += 1
 
     if combiners._lanes == 1:
         _arena_hash_lane1(
@@ -666,11 +630,6 @@ def arena_hash(
             combiners, indices, op, left, right, aux, sizes,
             name_h, var_entry, lit_s, HERE, SVAR, NONE, TRUE, FALSE,
             shs, vmhs, vms, tops, uses,
-        )
-
-    if memo is not None:
-        memo.merge(
-            (i, tops[i], shs[i], vmhs[i], vms[i]) for i in indices
         )
     return tops
 
@@ -1049,80 +1008,23 @@ def _arena_hash_generic(
         tops[i] = top2(s, vh)
 
 
-class ArenaMemo:
-    """Cross-chunk memo for one arena batch: integer-indexed, thread-safe.
-
-    Thread-mode fan-out splits an arena's roots into chunks, but the
-    chunks' closures overlap heavily (flatten-dedup is exactly what
-    makes them overlap).  One ``ArenaMemo``, shared by every chunk of a
-    batch, lets a chunk (a) skip nodes another chunk already summarised
-    and (b) publish its own summaries at the end of its pass -- the
-    "merge at batch boundaries" discipline: no per-node locking, one
-    lock acquisition per chunk for the snapshot and one for the merge.
-
-    Published entries are immutable by contract: ``done[i]`` is set only
-    after ``i``'s summary is written, under the lock, and readers seed
-    kernels with the *same* dict objects, which the kernels then never
-    mutate (they copy on write -- see the phantom reference counts in
-    :func:`arena_hash` / the append-only pool in :func:`arena_hash_vec`).
-    """
-
-    __slots__ = ("lock", "done", "tops", "shs", "vmhs", "vms")
-
-    def __init__(self, n: int):
-        self.lock = threading.Lock()
-        self.done = bytearray(n)
-        self.tops: list = [None] * n
-        self.shs: list = [0] * n
-        self.vmhs: list = [0] * n
-        self.vms: list = [None] * n
-
-    def snapshot_done(self) -> bytes:
-        """A point-in-time copy of the done mask (safe to read lock-free)."""
-        with self.lock:
-            return bytes(self.done)
-
-    def merge(self, items) -> int:
-        """Publish ``(index, top, s_hash, vm_hash, vm_dict)`` summaries.
-
-        First writer wins per index (the summaries are deterministic, so
-        losers are simply duplicate work).  Returns how many entries
-        were newly published.
-        """
-        fresh = 0
-        with self.lock:
-            done = self.done
-            for i, top, sh, vh, vm in items:
-                if done[i]:
-                    continue
-                self.tops[i] = top
-                self.shs[i] = sh
-                self.vmhs[i] = vh
-                self.vms[i] = vm if vm is not None else {}
-                done[i] = 1
-                fresh += 1
-        return fresh
-
-
 def arena_hash_any(
     arena: ExprArena,
     combiners: Optional[HashCombiners] = None,
     only: Optional[Sequence[int]] = None,
     kernel: str = "scalar",
-    memo: Optional[ArenaMemo] = None,
 ) -> list[Optional[int]]:
     """Run the arena kernel named by ``kernel`` (``"vec"``/``"scalar"``,
     as :func:`choose_kernel` resolves it)."""
     if kernel == "vec":
-        return arena_hash_vec(arena, combiners, only=only, memo=memo)
-    return arena_hash(arena, combiners, only=only, memo=memo)
+        return arena_hash_vec(arena, combiners, only=only)
+    return arena_hash(arena, combiners, only=only)
 
 
 def arena_hash_vec(
     arena: ExprArena,
     combiners: Optional[HashCombiners] = None,
     only: Optional[Sequence[int]] = None,
-    memo: Optional[ArenaMemo] = None,
 ) -> list[Optional[int]]:
     """Vectorized arena kernel: the same pass, level-by-level in NumPy.
 
@@ -1135,7 +1037,7 @@ def arena_hash_vec(
     removal is a batched ``searchsorted``, the small-into-big merge of
     Lemma 6.1 is one stable sort + last-wins dedup per level, and the
     XOR'd map-hash deltas fold with ``bitwise_xor.reduceat``.  Maps are
-    never mutated in place, which is also what makes memo seeding safe.
+    never mutated in place.
 
     Bit-identical to :func:`arena_hash` (and hence to the tree paths)
     at every width: values are carried as ``(lo, hi)`` 64-bit lane
@@ -1213,25 +1115,13 @@ def arena_hash_vec(
     names, literals = arena.names, arena.literals
     n_names = len(names)
 
-    # -- indices: full pass, closure-restricted, and/or memo-filtered --------
-    done = memo.snapshot_done() if memo is not None else None
-    if only is None and done is None:
+    # -- indices: full pass or closure-restricted ----------------------------
+    restricted = only is not None
+    if not restricted:
         idx = np.arange(n, dtype=np.int64)
-        restricted = False
-        seeded_idx = ()
     else:
-        restricted = True
-        if only is not None:
-            mask = np.frombuffer(arena.closure(only), dtype=np.uint8) != 0
-        else:
-            mask = np.ones(n, dtype=bool)
-        if done is not None:
-            done_np = np.frombuffer(done, dtype=np.uint8) != 0
-            seeded_idx = np.nonzero(mask & done_np)[0].tolist()
-            idx = np.nonzero(mask & ~done_np)[0]
-        else:
-            seeded_idx = ()
-            idx = np.nonzero(mask)[0]
+        mask = np.frombuffer(arena.closure(only), dtype=np.uint8) != 0
+        idx = np.nonzero(mask)[0]
 
     # -- leaf tables (Python-speed, but per unique name/literal only) --------
     name_used = np.zeros(n_names, dtype=bool)
@@ -1241,10 +1131,6 @@ def arena_hash_vec(
         aux_i = aux[idx]
         name_used[aux_i[(op_i != OP_APP) & (op_i != OP_LIT)]] = True
         lit_used[aux_i[op_i == OP_LIT]] = True
-        for i in seeded_idx:
-            vm = memo.vms[i]
-            if vm:
-                name_used[list(vm)] = True
     else:
         name_used[:] = True
         lit_used[:] = True
@@ -1316,29 +1202,6 @@ def arena_hash_vec(
             return s
 
     pool = Pool(max(1024, 2 * len(idx)))
-
-    # -- memo seeding --------------------------------------------------------
-    for i in seeded_idx:
-        out[i] = memo.tops[i]
-        sh = memo.shs[i]
-        vh = memo.vmhs[i]
-        shs_lo[i] = sh & M64
-        vmh_lo[i] = vh & M64
-        if two:
-            shs_hi[i] = (sh >> 64) & M64
-            vmh_hi[i] = (vh >> 64) & M64
-        vm = memo.vms[i]
-        if vm:
-            entries = sorted(vm.items())
-            nid = np.array([e[0] for e in entries], dtype=np.int64)
-            plo = np.array([e[1] & M64 for e in entries], dtype=U)
-            phi = (
-                np.array([(e[1] >> 64) & M64 for e in entries], dtype=U)
-                if two
-                else None
-            )
-            map_start[i] = pool.append(nid, plo, phi)
-            map_len[i] = len(entries)
 
     # -- batched map machinery -----------------------------------------------
     K = n_names + 1  # combined (segment, name-id) sort key stride
@@ -1697,41 +1560,4 @@ def arena_hash_vec(
                 for i, h, l in zip(idx.tolist(), hi_list, lo_list):
                     out[i] = (h << 64) | l
 
-    # -- memo publish --------------------------------------------------------
-    if memo is not None and len(idx):
-        idx_list = idx.tolist()
-        start_l = map_start[idx].tolist()
-        len_l = map_len[idx].tolist()
-        if not two:
-            sh_l = shs_lo[idx].tolist()
-            vh_l = vmh_lo[idx].tolist()
-        else:
-            sh_l = [
-                (h << 64) | l
-                for h, l in zip(shs_hi[idx].tolist(), shs_lo[idx].tolist())
-            ]
-            vh_l = [
-                (h << 64) | l
-                for h, l in zip(vmh_hi[idx].tolist(), vmh_lo[idx].tolist())
-            ]
-
-        def published():
-            for j, i in enumerate(idx_list):
-                s, m = start_l[j], len_l[j]
-                if m:
-                    keys = pool.nid[s : s + m].tolist()
-                    p_lo = pool.lo[s : s + m].tolist()
-                    if two:
-                        p_hi = pool.hi[s : s + m].tolist()
-                        vm = {
-                            k: (h << 64) | l
-                            for k, l, h in zip(keys, p_lo, p_hi)
-                        }
-                    else:
-                        vm = dict(zip(keys, p_lo))
-                else:
-                    vm = {}
-                yield i, out[i], sh_l[j], vh_l[j], vm
-
-        memo.merge(published())
     return out

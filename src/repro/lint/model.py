@@ -10,7 +10,7 @@ cross-checked against runtime observations.
 Lock labels are short and globally unique by construction:
 ``ClassName.attr`` for instance locks (``ShardedExprStore._memo_lock``,
 ``_Shard.lock``) and ``modulebasename.NAME`` for module globals
-(``parallel._FORK_PUBLISH_LOCK``).
+(``arena_shm._ATTACH_LOCK``).
 """
 
 from __future__ import annotations

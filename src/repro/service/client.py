@@ -352,7 +352,6 @@ class ServiceClient:
         backend: Optional[str] = None,
         engine: Optional[str] = None,
         workers: Optional[int] = None,
-        mode: Optional[str] = None,
         with_plan: bool = False,
     ) -> Union[list[int], tuple[list[int], dict]]:
         """Root alpha-hashes of ``exprs``, computed by the server.
@@ -371,7 +370,6 @@ class ServiceClient:
                     "backend": backend,
                     "engine": engine,
                     "workers": workers,
-                    "mode": mode,
                 },
             ),
         )

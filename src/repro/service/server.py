@@ -43,8 +43,8 @@ Expressions ride as the flat postorder documents of
 checksummed snapshot format (:func:`repro.store.snapshot_to_bytes` /
 ``snapshot_from_bytes``) -- a sharded server store produces the v2
 sharded layout, a flat one the v1 layout, and clients can load either.
-Hash/intern hints (``engine`` / ``workers`` / ``mode`` / ``backend``)
-are lowered into a :class:`~repro.api.request.HashRequest` server-side,
+Hash/intern hints (``engine`` / ``workers`` / ``backend``) are
+lowered into a :class:`~repro.api.request.HashRequest` server-side,
 so a remote call and a local call run the *same* plan and return
 bit-identical hashes; the resolved plan is echoed in the response for
 inspectability.
@@ -52,8 +52,8 @@ inspectability.
 Concurrency: the listener is a ``ThreadingHTTPServer`` (slow clients
 don't starve the accept loop), while store-touching work is serialised
 per server -- the session is the shared resource; the parallelism that
-matters (corpus fan-out over worker pools) happens *inside* a request
-per its plan.
+matters (hash fan-out over the session's process pool) happens *inside*
+a request per its plan.
 
 Cluster membership: a server started with ``shard_id``/``shard_count``
 is one node of a hash cluster (see :mod:`repro.cluster`).  It hashes
@@ -101,11 +101,12 @@ MAX_BODY_BYTES = 256 * 1024 * 1024
 def _max_request_workers() -> int:
     """Ceiling on a client-supplied ``workers`` hint.
 
-    ``workers`` reaches ``Session._pool_for`` and forks real processes;
-    without a cap a remote client could ask for thousands.  One worker
-    per *available* CPU (affinity- and cgroup-aware, not the machine's
-    raw count) is also where the speedup tops out, so clamping (rather
-    than rejecting) loses the client nothing.
+    ``workers`` reaches ``Session._pool_for`` and starts real
+    processes; without a cap a remote client could ask for thousands.
+    The cap is one worker per *available* CPU (affinity- and
+    cgroup-aware, not the machine's raw count): more workers than CPUs
+    only time-slice the same cores, so clamping (rather than rejecting)
+    loses the client nothing.
     """
     from repro.core.cpus import available_cpus
 
@@ -132,7 +133,7 @@ def _decode_corpus(payload: dict) -> list:
 
 def _request_hints(payload: dict) -> dict:
     hints = {}
-    for name in ("backend", "engine", "workers", "mode", "bits", "seed"):
+    for name in ("backend", "engine", "workers", "bits", "seed"):
         if payload.get(name) is not None:
             hints[name] = payload[name]
     workers = hints.get("workers")
@@ -1076,11 +1077,6 @@ def serve(argv=None) -> int:
         "default 1, or the snapshot's saved default with --load)",
     )
     parser.add_argument(
-        "--parallel-mode",
-        choices=("process", "fork", "spawn", "thread"),
-        default=None,
-    )
-    parser.add_argument(
         "--engine", choices=ENGINE_CHOICES, default=None
     )
     parser.add_argument(
@@ -1177,7 +1173,6 @@ def serve(argv=None) -> int:
             name: value
             for name, value in (
                 ("workers", args.workers),
-                ("parallel_mode", args.parallel_mode),
                 ("engine", args.engine),
             )
             if value is not None
@@ -1198,7 +1193,6 @@ def serve(argv=None) -> int:
             name: value
             for name, value in (
                 ("workers", args.workers),
-                ("parallel_mode", args.parallel_mode),
                 ("engine", args.engine),
             )
             if value is not None
@@ -1211,7 +1205,6 @@ def serve(argv=None) -> int:
             bits=args.bits,
             seed=args.seed,
             workers=1 if args.workers is None else args.workers,
-            parallel_mode=args.parallel_mode or "process",
             engine=args.engine or "auto",
             num_shards=args.num_shards,
         )

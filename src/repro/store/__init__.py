@@ -10,7 +10,6 @@ from repro.store.arena_intern import hash_corpus_arena, intern_corpus_arena
 from repro.store.parallel import (
     WorkerPool,
     parallel_hash_corpus,
-    parallel_intern_corpus,
     resolve_workers,
 )
 from repro.store.sharded import DEFAULT_NUM_SHARDS, ShardedExprStore
@@ -56,7 +55,6 @@ __all__ = [
     "Journal",
     "JournalError",
     "parallel_hash_corpus",
-    "parallel_intern_corpus",
     "resolve_workers",
     "WorkerPool",
     "hash_corpus_arena",

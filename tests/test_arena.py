@@ -4,7 +4,7 @@ The arena engine (:mod:`repro.core.arena`) re-implements the paper's
 single-pass hashing over a post-order struct-of-arrays compilation of
 the corpus.  Its one contract is *bit-identity* with the tree oracle --
 :func:`repro.core.hashed.alpha_hash_all` -- on every input, at every
-combiner width, under every fan-out mode.  This wall pins that
+combiner width, serially and on the process pool.  This wall pins that
 contract on adversarial corpora (deep chains, heavy sharing, shadowed
 binders, a depth-5000 degenerate case), plus the arena's own
 mechanics: flatten-time dedup, ``flatten -> rebuild`` round-trips,
@@ -463,36 +463,25 @@ class TestSpawnParallel:
     def serial(self, corpus):
         return memo_hashes(corpus)
 
-    def test_spawn_mode_bit_identity(self, corpus, serial):
+    def test_pool_bit_identity(self, corpus, serial):
         assert (
-            parallel_hash_corpus(corpus, workers=2, mode="spawn", engine="auto")
-            == serial
+            parallel_hash_corpus(corpus, workers=2, engine="auto") == serial
         )
 
-    def test_fork_mode_bit_identity(self, corpus, serial):
-        assert (
-            parallel_hash_corpus(corpus, workers=2, mode="fork", engine="auto")
-            == serial
-        )
-
-    def test_thread_mode_bit_identity(self, corpus, serial):
-        assert (
-            parallel_hash_corpus(corpus, workers=2, mode="thread", engine="auto")
-            == serial
-        )
-
-    def test_spawn_mode_depth_5000(self):
+    def test_pool_depth_5000(self):
         """Depth-5000 trees cannot be pickled directly (recursion); the
-        spawn fan-out must not care -- arenas pickle iteratively."""
+        fan-out must not care -- workers attach the arena's columns."""
         corpus = [left_skewed_app(DEPTH_DEEP), lam_chain(DEPTH_DEEP)] * 3
-        serial = kernel_hashes(corpus)
+        oracle = tree_hashes(corpus)
+        assert kernel_hashes(corpus) == oracle
         assert (
-            parallel_hash_corpus(corpus, workers=2, mode="spawn", engine="auto")
-            == serial
+            parallel_hash_corpus(corpus, workers=2, engine="auto") == oracle
         )
+        with Session(workers=2) as session:
+            assert session.hash_corpus(corpus) == oracle
 
     def test_persistent_pool_reuse(self, corpus, serial):
-        with WorkerPool(2, "spawn") as pool:
+        with WorkerPool(2) as pool:
             first = parallel_hash_corpus(
                 corpus, workers=2, engine="auto", pool=pool
             )
@@ -504,7 +493,7 @@ class TestSpawnParallel:
         assert not pool.started
 
     def test_pool_close_is_idempotent(self):
-        pool = WorkerPool(2, "thread")
+        pool = WorkerPool(2)
         pool.close()
         pool.close()
         assert not pool.started
@@ -514,7 +503,7 @@ class TestSpawnParallel:
         strand workers: the GC finalizer shuts it down."""
         import gc
 
-        pool = WorkerPool(2, "thread")
+        pool = WorkerPool(2)
         pool.map(len, [(1, 2)])
         finalizer = pool._finalizer
         assert finalizer is not None and finalizer.alive
@@ -523,26 +512,24 @@ class TestSpawnParallel:
         assert not finalizer.alive
 
     def test_session_owns_pools_and_closes(self, corpus, serial):
-        with Session(
-            workers=2, parallel_mode="spawn", engine="auto"
-        ) as session:
+        with Session(workers=2, engine="auto") as session:
             assert session.hash_corpus(corpus) == serial
             assert session.hash_corpus(corpus) == serial
-            assert session.stats()["live_pools"] == ["spawnx2"]
+            assert session.stats()["live_pools"] == [2]
         assert session.stats()["live_pools"] == []
 
     def test_store_stats_fold_back(self, corpus):
         store = ExprStore()
-        parallel_hash_corpus(
-            corpus, workers=2, mode="spawn", engine="auto", store=store
-        )
+        parallel_hash_corpus(corpus, workers=2, engine="auto", store=store)
         assert store.stats.hashed_nodes > 0
 
     def test_concurrent_parallel_calls_on_shared_sharded_store(
         self, corpus, serial
     ):
         """The arena path takes the sharded store's memo lock: several
-        threads fanning out over one store must not corrupt it."""
+        threads fanning out over one store at once (each batch on its
+        own temporary pool and shared-memory segment) must not corrupt
+        it."""
         import threading
 
         store = ShardedExprStore(num_shards=4)
@@ -550,7 +537,7 @@ class TestSpawnParallel:
 
         def run(slot):
             outputs[slot] = parallel_hash_corpus(
-                corpus, workers=2, mode="thread", engine="auto", store=store
+                corpus, workers=2, engine="auto", store=store
             )
 
         threads = [threading.Thread(target=run, args=(t,)) for t in range(3)]

@@ -5,8 +5,7 @@ PR 6's contract has three legs, each pinned here:
 * **Differential wall** -- :func:`repro.core.arena.arena_hash_vec` is
   bit-identical to the scalar kernel (and through it to
   ``alpha_hash_all``) at every combiner width, on mixed/adversarial/
-  depth-5000 corpora, under ``only=`` restriction and under
-  memo-interleaved chunked passes that mix both kernels.
+  depth-5000 corpora and under ``only=`` restriction.
 * **No-NumPy fallback** -- ``engine="auto"`` degrades to the scalar
   kernel, forcing ``arena-vec`` fails loudly (``ValueError`` at the
   kernel layer, :class:`~repro.api.PlanError` at the planner), and the
@@ -37,7 +36,6 @@ from repro.core.arena import (
     ENGINE_CHOICES,
     HAVE_NUMPY,
     VEC_MIN_NODES,
-    ArenaMemo,
     arena_hash,
     arena_hash_any,
     arena_hash_vec,
@@ -125,21 +123,6 @@ class TestVecDifferential:
         assert arena_hash_vec(flatten_corpus([])[0]) == []
         for item in (Var("x"), Lit(7)):
             assert vec_root_hashes([item]) == tree_hashes([item])
-
-    def test_memo_interleaved_kernels(self, corpus):
-        """Chunked passes mixing both kernels over one shared memo."""
-        arena, roots = flatten_corpus(corpus)
-        reference = arena_hash(arena)
-        memo = ArenaMemo(len(arena))
-        uroots = sorted(set(roots))
-        tops = {}
-        chunk = max(1, len(uroots) // 5)
-        for i in range(0, len(uroots), chunk):
-            part = uroots[i : i + chunk]
-            kernel = arena_hash_vec if (i // chunk) % 2 else arena_hash
-            got = kernel(arena, only=part, memo=memo)
-            tops.update((r, got[r]) for r in part)
-        assert [tops[r] for r in uroots] == [reference[r] for r in uroots]
 
 
 def crossover_corpus(total_nodes: int, seed: int) -> list:
@@ -319,7 +302,7 @@ class TestSharedMemoryHygiene:
         corpus = mixed_corpus(80, seed=23)
         want = ExprStore().hash_corpus(corpus, engine="auto")
         before = self._segments()
-        with WorkerPool(workers=2, mode="spawn") as pool:
+        with WorkerPool(workers=2) as pool:
             got = parallel_hash_corpus(
                 corpus, workers=2, engine="auto", pool=pool
             )
@@ -330,7 +313,7 @@ class TestSharedMemoryHygiene:
         corpus = mixed_corpus(80, seed=27)
         want = ExprStore().hash_corpus(corpus, engine="auto")
         before = self._segments()
-        with WorkerPool(workers=2, mode="spawn") as pool:
+        with WorkerPool(workers=2) as pool:
             # Warm the pool so there are real workers to kill.
             assert (
                 parallel_hash_corpus(
@@ -376,7 +359,7 @@ class TestWorkerPoolLifecycle:
 
     def test_gc_finalizer_drains_workers(self):
         corpus = mixed_corpus(40, seed=33)
-        pool = WorkerPool(workers=2, mode="spawn")
+        pool = WorkerPool(workers=2)
         parallel_hash_corpus(corpus, workers=2, engine="auto", pool=pool)
         pids = list(pool._pool._processes)
         assert pids
@@ -396,9 +379,9 @@ class TestWorkerPoolLifecycle:
             from repro.api import HashRequest, Session
             from repro.gen.random_exprs import random_expr
 
-            if __name__ == "__main__":  # spawn re-imports __main__
+            if __name__ == "__main__":  # non-fork starts re-import __main__
                 corpus = [random_expr(40, seed=i) for i in range(40)]
-                session = Session(workers=2, parallel_mode="spawn")
+                session = Session(workers=2)
                 session.execute(HashRequest(corpus, engine="auto"))
                 pids = [
                     pid

@@ -343,3 +343,33 @@ class TestRetiredEngineHints:
         self._assert_rejected(
             coordinator.url, [node.url for node in nodes], corpus
         )
+
+
+class TestRetiredModeHint:
+    """``mode`` (the retired pool flavour) is an unrecognised body key
+    now: a body carrying it is answered exactly like the same body
+    without it -- on a node and through the coordinator."""
+
+    def _assert_ignored(self, front_url, corpus):
+        client = ServiceClient(front_url, retries=0)
+        docs = [to_wire(e) for e in corpus[:8]]
+        for path, key in (("/v1/hash", "hashes"), ("/v1/intern", "ids")):
+            plain = client._json("POST", path, {"exprs": docs})
+            hinted = client._json(
+                "POST", path, {"exprs": docs, "mode": "thread"}
+            )
+            assert hinted[key] == plain[key], path
+
+    def test_node_ignores_mode(self, corpus, expected):
+        with ReproServer(port=0) as node:
+            self._assert_ignored(node.url, corpus)
+            hashes = ServiceClient(node.url)._json(
+                "POST",
+                "/v1/hash",
+                {"exprs": [to_wire(e) for e in corpus], "mode": "thread"},
+            )["hashes"]
+            assert hashes == expected
+
+    def test_coordinator_ignores_mode(self, cluster, corpus):
+        coordinator, _nodes, _reply = cluster
+        self._assert_ignored(coordinator.url, corpus)

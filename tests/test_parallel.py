@@ -3,9 +3,9 @@
 The engine's contract is *bit-identity*: ``hash_corpus(workers=N)``
 must agree hash-for-hash, position-for-position with ``workers=1`` over
 any corpus -- random, adversarial, duplicate-heavy, or degenerate-deep
--- in both pool flavours.  The 1k mixed-corpus differential below is
+-- on the one process pool.  The 1k mixed-corpus differential below is
 the PR-3 satellite contract; the rest pins the engine's mechanics
-(deterministic chunking, dedup, store stat accounting, worker merge).
+(deterministic chunking, dedup, store stat accounting).
 """
 
 import random
@@ -14,14 +14,15 @@ import pytest
 
 from repro.api import HashRequest, InternRequest, Session
 from repro.core.combiners import HashCombiners
+from repro.core.hashed import alpha_hash_all
 from repro.gen.adversarial import adversarial_pair
 from repro.gen.random_exprs import random_expr
 from repro.lang.expr import App, Lam, Var
 from repro.store import (
     ExprStore,
     ShardedExprStore,
+    WorkerPool,
     parallel_hash_corpus,
-    parallel_intern_corpus,
     resolve_workers,
 )
 from repro.store.parallel import _chunk_ranges
@@ -69,12 +70,6 @@ class TestDifferential:
             == serial_hashes
         )
 
-    def test_thread_workers_bit_identical(self, corpus_1k, serial_hashes):
-        assert (
-            Session().execute(HashRequest(corpus_1k, workers=4, mode="thread"))
-            == serial_hashes
-        )
-
     def test_parallel_runs_are_deterministic(self, corpus_1k):
         first = parallel_hash_corpus(corpus_1k, workers=3)
         second = parallel_hash_corpus(corpus_1k, workers=3)
@@ -100,6 +95,27 @@ class TestDifferential:
         )
 
 
+class TestPoolWidths:
+    """The one pool, sessioned and poolless, against the tree oracle at
+    every width the API accepts for corpus work."""
+
+    @pytest.fixture(scope="class")
+    def corpus(self):
+        return mixed_corpus(120, seed=11)
+
+    @pytest.mark.parametrize("bits", [16, 32, 64, 96, 128])
+    def test_pool_matches_alpha_hash_all(self, corpus, bits):
+        combiners = HashCombiners(bits=bits)
+        oracle = [alpha_hash_all(e, combiners).root_hash for e in corpus]
+        with Session(bits=bits, workers=2) as session:
+            assert session.hash_corpus(corpus) == oracle
+            assert session.stats()["live_pools"] == [2]
+        assert (
+            parallel_hash_corpus(corpus, combiners=combiners, workers=2)
+            == oracle
+        )
+
+
 class TestEngineMechanics:
     def test_chunk_ranges_partition_exactly(self):
         for n_items in (0, 1, 7, 100, 1001):
@@ -113,7 +129,7 @@ class TestEngineMechanics:
         gets its own item's hash."""
         a, b = Var("x"), Var("y")
         ha, hb = ExprStore().hash_corpus([a, b])
-        got = parallel_hash_corpus([a, b, a, a, b], workers=2, mode="thread")
+        got = parallel_hash_corpus([a, b, a, a, b], workers=2)
         assert got == [ha, hb, ha, ha, hb]
 
     def test_resolve_workers(self):
@@ -124,8 +140,11 @@ class TestEngineMechanics:
             resolve_workers(-1)
 
     def test_invalid_mode_rejected(self):
-        with pytest.raises(ValueError):
-            parallel_hash_corpus([Var("x")], workers=2, mode="fiber")
+        """One pool, no flavours: any ``mode`` is an unknown argument."""
+        with pytest.raises(TypeError):
+            parallel_hash_corpus([Var("x")], workers=2, mode="thread")
+        with pytest.raises(TypeError):
+            WorkerPool(2, "spawn")
 
     def test_workers_one_uses_store_serially(self):
         store = ExprStore()
@@ -151,8 +170,8 @@ class TestEngineMechanics:
         # the delegated hashing work is visible in the parent's stats
         assert store.stats.hashed_nodes > 0
 
-    def test_deep_corpus_fork_mode(self):
-        """Workers receive the arena, never the trees, so degenerate
+    def test_deep_corpus_depth_5000(self):
+        """Workers attach the arena, never the trees, so degenerate
         depth parallelises (pickling a tree would recurse)."""
         deep = Var("x")
         for i in range(5000):
@@ -160,35 +179,6 @@ class TestEngineMechanics:
         corpus = [deep] + mixed_corpus(10)
         assert parallel_hash_corpus(corpus, workers=2) == ExprStore(
         ).hash_corpus(corpus)
-
-
-class TestParallelIntern:
-    def test_classes_match_serial(self):
-        corpus = mixed_corpus(200)
-        serial_ids = ExprStore().intern_many(corpus)
-        store = ShardedExprStore(num_shards=4)
-        par_ids = parallel_intern_corpus(corpus, store, workers=3)
-        serial_part = [serial_ids.index(i) for i in serial_ids]
-        par_part = [par_ids.index(i) for i in par_ids]
-        assert par_part == serial_part
-
-    def test_every_id_resolves_in_parent(self):
-        corpus = mixed_corpus(100)
-        store = ShardedExprStore(num_shards=4)
-        ids = parallel_intern_corpus(corpus, store, workers=3)
-        for expr, node_id in zip(corpus, ids):
-            assert store.hash_of(node_id) == ExprStore().hash_expr(expr)
-
-    def test_flat_store_target(self):
-        corpus = mixed_corpus(80)
-        store = ExprStore()
-        ids = parallel_intern_corpus(corpus, store, workers=3)
-        expected = ExprStore()
-        expected_ids = expected.intern_many(corpus)
-        assert [ids.index(i) for i in ids] == [
-            expected_ids.index(i) for i in expected_ids
-        ]
-        assert len(store) == len(expected)
 
 
 class TestSessionIntegration:
@@ -239,8 +229,17 @@ class TestSessionIntegration:
         assert restored.hash_corpus(corpus) == hashes
 
     def test_invalid_parallel_mode_rejected(self):
-        with pytest.raises(ValueError):
-            Session(parallel_mode="fiber")
+        with pytest.raises(TypeError):
+            Session(parallel_mode="process")
+
+    def test_session_workers_intern_many_matches_serial(self):
+        """Interning always runs serially: a ``workers=2`` session gets
+        the very same ids, and the same classes, as a serial one."""
+        corpus = mixed_corpus(80)
+        serial_ids = Session().intern_many(corpus)
+        with Session(workers=2) as session:
+            assert session.intern_many(corpus) == serial_ids
+            assert session.stats()["live_pools"] == []
 
 
 class TestAppleToAppleAdversarial:

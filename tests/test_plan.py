@@ -61,8 +61,8 @@ class TestRequests:
     def test_request_rejects_bad_hints(self, corpus):
         with pytest.raises(ValueError, match="engine"):
             HashRequest(corpus, engine="warp")
-        with pytest.raises(ValueError, match="mode"):
-            HashRequest(corpus, mode="fiber")
+        with pytest.raises(TypeError, match="unknown request hint"):
+            HashRequest(corpus, mode="thread")
         with pytest.raises(ValueError, match="workers"):
             HashRequest(corpus, workers=-1)
         with pytest.raises(TypeError, match="unknown request hint"):
@@ -159,6 +159,12 @@ class TestPlanner:
         with pytest.raises(PlanError, match="seed"):
             session.plan(HashRequest(corpus, seed=123))
 
+    def test_intern_plans_run_serially(self, corpus):
+        plan = Session(workers=3).plan(InternRequest(corpus))
+        assert plan.executor == "serial" and plan.workers == 1
+        assert any("intern runs serially" in r for r in plan.reasons)
+        assert "mode" not in plan.as_dict()
+
     def test_intern_needs_store(self, corpus):
         with pytest.raises(PlanError, match="use_store"):
             Session(use_store=False).plan(InternRequest(corpus))
@@ -191,13 +197,6 @@ class TestExecuteBitIdentity:
             plan = session.plan(request)
             assert plan.executor == "pool"
             assert session.execute(request, plan=plan) == expected
-
-    def test_thread_mode_pool(self, corpus, expected):
-        with Session() as session:
-            assert (
-                session.execute(HashRequest(corpus, workers=2, mode="thread"))
-                == expected
-            )
 
     def test_async_executor_runs_the_plan(self, corpus, expected):
         session = Session()

@@ -341,10 +341,12 @@ class TestSessionCLI:
 
 class TestRetiredEngineSnapshots:
     """Snapshots saved by ``Session(engine="tree")`` (or ``"arena"``)
-    before those names were retired must keep loading, as ``auto``."""
+    before those names were retired must keep loading, as ``auto``; so
+    must snapshots whose config still names a pool flavour
+    (``parallel_mode``), which is ignored."""
 
     @staticmethod
-    def _legacy_meta(engine: str) -> dict:
+    def _legacy_meta(engine: str, parallel_mode: str = "process") -> dict:
         # Byte-for-byte the meta block Session.save wrote for such a
         # session: the backend name plus the asdict() of its config.
         return {
@@ -357,7 +359,7 @@ class TestRetiredEngineSnapshots:
                 "max_entries": None,
                 "memo_limit": None,
                 "workers": 1,
-                "parallel_mode": "process",
+                "parallel_mode": parallel_mode,
                 "num_shards": None,
                 "engine": engine,
             },
@@ -383,3 +385,36 @@ class TestRetiredEngineSnapshots:
         ]
         data = snapshot_to_bytes(store, meta=self._legacy_meta(engine))
         assert Session.from_snapshot_bytes(data).config.engine == "auto"
+
+    @pytest.mark.parametrize(
+        "parallel_mode", ["process", "thread", "spawn", "fork"]
+    )
+    def test_saved_parallel_mode_is_ignored(self, tmp_path, parallel_mode):
+        from repro.store import Journal, snapshot_to_bytes
+
+        corpus = [random_expr(30, seed=i) for i in range(8)]
+        store = ExprStore()
+        ids = store.intern_many(corpus)
+        meta = self._legacy_meta("auto", parallel_mode)
+        expected = [alpha_hash_all(e).root_hash for e in corpus]
+
+        path = str(tmp_path / "legacy.snap")
+        write_snapshot(store, path, meta=meta)
+        data = snapshot_to_bytes(store, meta=meta)
+        # Journal checkpoint recovery: the server adopts the checkpoint
+        # through from_snapshot_bytes, then replays the tail.
+        journal = Journal(str(tmp_path / "journal"), fsync=False)
+        journal.checkpoint(store, meta=meta)
+        journal.close()
+        recovered_journal = Journal(str(tmp_path / "journal"), fsync=False)
+        checkpoint = recovered_journal.load_checkpoint_bytes()
+        recovered_journal.close()
+
+        for loaded in (
+            Session.load(path),
+            Session.from_snapshot_bytes(data),
+            Session.from_snapshot_bytes(checkpoint),
+        ):
+            assert not hasattr(loaded.config, "parallel_mode")
+            assert loaded.intern_many(corpus) == ids
+            assert loaded.hash_corpus(corpus) == expected
