@@ -15,23 +15,16 @@ subtree, not once per occurrence.  This harness builds such a corpus
 Run under pytest-benchmark like the rest of the suite, or standalone as
 a CI smoke gate::
 
-    PYTHONPATH=src python benchmarks/bench_store.py --smoke [--workers N]
+    PYTHONPATH=src python benchmarks/bench_store.py --smoke
 
 which fails loudly (exit 1) unless the cold store pass beats the fresh
-passes, the cache hit-rate is > 0, and the parallel engine (a) returns
-hashes bit-identical to the serial path and (b) -- on machines with
-enough CPUs for the question to make sense -- beats the serial path by
-the expected margin (>= 1.8x for 4 workers on >= 4 CPUs, >= 1.2x for 2
-workers on >= 2 CPUs; on fewer CPUs the run is marked
-``"cpu_bound": true``, reported, and skipped -- not failed -- because
-no engine can parallelise past the hardware).
+passes and the cache hit-rate is > 0.
 
 ``--arena-items N`` adds the arena-kernel gate (the PR-4 acceptance
 bar): on an ``N``-item duplicate-free corpus the arena batch path
 (``ExprStore.hash_corpus``) must be bit-identical to the memoised
-per-item ``hash_expr`` loop and >= 2x faster, single worker --
-unlike the parallel floors this gate has no CPU-count caveat, since
-one worker is one worker on any host.  ``--json-out`` appends the
+per-item ``hash_expr`` loop and >= 2x faster.  The gate is
+single-threaded, so it holds on any host shape.  ``--json-out`` appends the
 measured cells to a JSON trajectory file (see
 ``benchmarks/run_bench.py``).
 """
@@ -41,27 +34,25 @@ from __future__ import annotations
 import os
 import random
 import tempfile
-from typing import Optional
 
 from repro.api import Session
 from repro.core.cpus import available_cpus
 from repro.core.hashed import alpha_hash_all
 from repro.gen.random_exprs import random_expr
 from repro.lang.expr import App, Expr
-from repro.store import ExprStore, parallel_hash_corpus
+from repro.store import ExprStore
 
 #: Fraction of corpus items that repeat or recombine earlier items.
 DUP_FRACTION = 0.6
 
 #: The arena gate: the arena batch path must beat the memoised per-item
-#: tree walk by this factor on the smoke corpus, single worker (PR-4
-#: acceptance bar).
+#: tree walk by this factor on the smoke corpus (PR-4 acceptance bar).
 ARENA_SMOKE_FLOOR = 2.0
 
 #: The vec gate: the vectorized kernel must beat the scalar kernel by
 #: this factor on the same arena (PR-6 acceptance bar).  Single-threaded
-#: by construction, so -- unlike the parallel floors -- it holds on any
-#: host shape; it is only skipped when NumPy is not importable.
+#: by construction, so it holds on any host shape; it is only skipped
+#: when NumPy is not importable.
 VEC_SMOKE_FLOOR = 2.0
 
 
@@ -184,25 +175,6 @@ def test_store_matches_fresh():
     assert Session().hash_corpus(corpus) == fresh_hash_corpus(corpus)
 
 
-def test_parallel_rehash(benchmark):
-    corpus = _bench_corpus()
-    benchmark.extra_info["corpus_nodes"] = sum(e.size for e in corpus)
-    benchmark.extra_info["workers"] = 2
-    benchmark.pedantic(
-        parallel_hash_corpus,
-        args=(corpus,),
-        kwargs={"workers": 2},
-        rounds=3,
-        iterations=1,
-        warmup_rounds=1,
-    )
-
-
-def test_parallel_matches_serial():
-    corpus = _bench_corpus()
-    assert parallel_hash_corpus(corpus, workers=2) == fresh_hash_corpus(corpus)
-
-
 def test_arena_rehash_cold(benchmark):
     corpus = _bench_corpus()
     benchmark.extra_info["corpus_nodes"] = sum(e.size for e in corpus)
@@ -312,31 +284,13 @@ def smoke(n_items: int, item_size: int, repeats: int) -> int:
     return 0 if ok else 1
 
 
-def required_speedup(workers: int, cpus: int) -> Optional[float]:
-    """The honest parallel gate for this machine.
-
-    A pool cannot beat the hardware: with ``c`` CPUs the best case for
-    ``w`` workers is ``min(w, c)``x minus fork/IPC overhead.  We gate at
-    1.8x for 4+ workers on 4+ CPUs (the PR-3 acceptance bar) and 1.2x
-    for 2 workers on 2+ CPUs (the CI runner shape); on a single CPU the
-    timing is reported but not gated.
-    """
-    effective = min(workers, cpus)
-    if effective >= 4:
-        return 1.8
-    if effective >= 2:
-        return 1.2
-    return None
-
-
 def arena_smoke(n_items: int, item_size: int, repeats: int) -> tuple[int, dict]:
     """Memoised tree walk vs arena batch path: bit-identity always,
     >= 2x always.
 
-    Single worker on a duplicate-free corpus, so -- unlike the parallel
-    floors -- the gate holds on any host shape: the win comes from
-    array-indexed memo structure and flatten-time dedup, not from extra
-    CPUs.
+    Single-threaded on a duplicate-free corpus, so the gate holds on any
+    host shape: the win comes from array-indexed memo structure and
+    flatten-time dedup, not from extra CPUs.
     """
     corpus = make_corpus(n_items, item_size, dup_fraction=0.0, seed=99)
     total_nodes = sum(e.size for e in corpus)
@@ -357,7 +311,7 @@ def arena_smoke(n_items: int, item_size: int, repeats: int) -> tuple[int, dict]:
         "required_speedup": ARENA_SMOKE_FLOOR,
         "identical": arena_hashes == tree_hashes,
     }
-    print(f"arena corpus: {n_items} items, {total_nodes} nodes, 1 worker")
+    print(f"arena corpus: {n_items} items, {total_nodes} nodes")
     print(
         f"tree {tree_time * 1e3:8.1f} ms   "
         f"arena {arena_time * 1e3:8.1f} ms   ({speedup:.2f}x)"
@@ -369,7 +323,7 @@ def arena_smoke(n_items: int, item_size: int, repeats: int) -> tuple[int, dict]:
     if speedup < ARENA_SMOKE_FLOOR:
         print(
             f"FAIL: arena speedup {speedup:.2f}x below the "
-            f"{ARENA_SMOKE_FLOOR:.1f}x floor (single worker)"
+            f"{ARENA_SMOKE_FLOOR:.1f}x floor"
         )
         return 1, cell
     print(f"OK: arena speedup {speedup:.2f}x >= {ARENA_SMOKE_FLOOR:.1f}x floor")
@@ -424,90 +378,10 @@ def vec_smoke(n_items: int, item_size: int, repeats: int) -> tuple[int, dict]:
     if speedup < VEC_SMOKE_FLOOR:
         print(
             f"FAIL: vec speedup {speedup:.2f}x below the "
-            f"{VEC_SMOKE_FLOOR:.1f}x floor (single worker)"
+            f"{VEC_SMOKE_FLOOR:.1f}x floor"
         )
         return 1, cell
     print(f"OK: vec speedup {speedup:.2f}x >= {VEC_SMOKE_FLOOR:.1f}x floor")
-    return 0, cell
-
-
-def parallel_smoke(
-    n_items: int, item_size: int, workers: int, repeats: int
-) -> tuple[int, dict]:
-    """Serial-vs-parallel corpus cell: returns (exit_code, measurements).
-
-    The corpus is duplicate-free: flatten collapses repeats before
-    fanning out, so duplicates would measure the dedup, not the
-    workers.
-    """
-    cpus = available_cpus()
-    corpus = make_corpus(n_items, item_size, dup_fraction=0.0, seed=99)
-    total_nodes = sum(e.size for e in corpus)
-
-    def parallel_once():
-        # A fresh session per timing keeps the store memo cold; closing
-        # it releases the session-owned worker pool each round.
-        with Session(workers=workers) as session:
-            return session.hash_corpus(corpus)
-
-    serial_time = _best_of(lambda: Session().hash_corpus(corpus), repeats)
-    serial_hashes = Session().hash_corpus(corpus)
-
-    par_time = _best_of(parallel_once, repeats)
-    par_hashes = parallel_once()
-
-    speedup = serial_time / par_time if par_time else float("inf")
-    cell = {
-        "items": n_items,
-        "nodes": total_nodes,
-        "workers": workers,
-        "cpus": cpus,
-        "serial_s": round(serial_time, 4),
-        "parallel_s": round(par_time, 4),
-        "speedup": round(speedup, 3),
-        "identical": par_hashes == serial_hashes,
-        # More workers than CPUs: the run measures the hardware ceiling,
-        # not the engine -- the gate below skips (never fails) it.
-        "cpu_bound": workers > cpus,
-    }
-    print(
-        f"parallel corpus: {n_items} items, {total_nodes} nodes, "
-        f"{workers} workers on {cpus} CPU(s)"
-    )
-    print(
-        f"serial {serial_time * 1e3:8.1f} ms   "
-        f"parallel {par_time * 1e3:8.1f} ms   ({speedup:.2f}x)"
-    )
-
-    if not cell["identical"]:
-        print("FAIL: parallel hashes diverge from the serial path")
-        return 1, cell
-    print(f"parallel hashes bit-identical to serial over {n_items} items")
-    # cpu_bound runs are skipped outright -- their speedup measures the
-    # hardware ceiling, not the engine -- so the floor only ever gates a
-    # run with one CPU per worker.
-    floor = None if cell["cpu_bound"] else required_speedup(workers, cpus)
-    cell["required_speedup"] = floor
-    if cell["cpu_bound"]:
-        print(
-            f"SKIP: cpu_bound run ({workers} workers on {cpus} CPU(s)) -- "
-            "speedup reported, not gated (no engine can parallelise past "
-            "the hardware)"
-        )
-        return 0, cell
-    if floor is None:
-        print(
-            f"note: {workers} worker(s) -- too few for a speedup floor; "
-            "reported, not gated"
-        )
-        return 0, cell
-    if speedup < floor:
-        print(
-            f"FAIL: parallel speedup {speedup:.2f}x below the {floor:.1f}x "
-            f"floor for {workers} workers on {cpus} CPUs"
-        )
-        return 1, cell
-    print(f"OK: parallel speedup {speedup:.2f}x >= {floor:.1f}x floor")
     return 0, cell
 
 
@@ -523,24 +397,6 @@ def main(argv=None) -> int:
     parser.add_argument("--items", type=int, default=60)
     parser.add_argument("--item-size", type=int, default=400)
     parser.add_argument("--repeats", type=int, default=3)
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=4,
-        help="pool size for the parallel corpus cell (0 disables the cell)",
-    )
-    parser.add_argument(
-        "--par-items",
-        type=int,
-        default=10_000,
-        help="corpus items for the parallel cell",
-    )
-    parser.add_argument(
-        "--par-item-size",
-        type=int,
-        default=60,
-        help="nodes per item for the parallel cell",
-    )
     parser.add_argument(
         "--arena-items",
         type=int,
@@ -581,12 +437,6 @@ def main(argv=None) -> int:
         "python": platform.python_version(),
         "cpus": available_cpus(),
     }
-    if args.workers:
-        par_status, cell = parallel_smoke(
-            args.par_items, args.par_item_size, args.workers, args.repeats
-        )
-        status = status or par_status
-        record["parallel"] = cell
     if args.arena_items:
         arena_status, cell = arena_smoke(
             args.arena_items, args.arena_item_size, args.repeats

@@ -2,7 +2,7 @@
 
 Runs the store and corpus cells and writes a ``BENCH_PR6.json``
 trajectory record -- corpus sizes, wall-clock times, cache hit rates,
-worker counts, shard balance -- so the perf history of the repo is a
+shard balance -- so the perf history of the repo is a
 sequence of committed, machine-readable records instead of numbers in
 PR descriptions::
 
@@ -15,22 +15,14 @@ Cells:
                   duplicate-heavy corpus (the PR-1 claim, re-measured).
 * ``arena``    -- the memoised per-item tree walk (``hash_expr``) vs
                   the arena batch path (``ExprStore.hash_corpus``,
-                  :mod:`repro.core.arena`) on the 600k-node corpus the
-                  PR-3 parallel cell measured, single worker: compile +
-                  kernel wall-clock, bit-identity, dedup ratio.
+                  :mod:`repro.core.arena`) on a 600k-node duplicate-free
+                  corpus: compile + kernel wall-clock, bit-identity,
+                  dedup ratio.
 * ``vec``      -- the vectorized vs the scalar arena kernel on the same
                   flattened arena (flatten cost excluded: this cell
                   times the kernels alone), bit-identity checked; the
                   smoke gate (``bench_store.py --smoke``) asserts >= 2x
                   when NumPy is importable.
-* ``parallel`` -- ``hash_corpus`` wall-clock for each worker count on a
-                  duplicate-free corpus, with bit-identity checked
-                  against the serial path.  Runs asking for more
-                  workers than the host has CPUs are marked
-                  ``"cpu_bound": true`` -- their speedup measures the
-                  hardware, not the engine, and the smoke gate skips
-                  them (the PR-3 trajectory's 0.9x-at-4-workers cell
-                  was exactly such a 1-CPU artefact).
 * ``sharded``  -- flat vs lock-striped sharded interning of one corpus:
                   wall-clock, shard occupancy balance, and the
                   hits+misses conservation invariant.
@@ -44,8 +36,7 @@ Cells:
 and the default output name (``BENCH_PR<n>.json``).
 
 Speedups are *reported* for every shape and *gated* nowhere -- gating
-lives in ``bench_store.py --smoke`` (CI), which knows how many CPUs it
-stands on.  The record always includes the host shape so a trajectory
+lives in ``bench_store.py --smoke`` (CI).  The record always includes the host shape so a trajectory
 file from a 1-CPU container is never misread as a regression against a
 16-core workstation.
 """
@@ -63,7 +54,6 @@ sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
 from bench_store import make_corpus, memo_hash_corpus  # noqa: E402  (sibling module)
 
-from repro.api import Session  # noqa: E402
 from repro.core.cpus import available_cpus  # noqa: E402
 from repro.core.hashed import alpha_hash_all  # noqa: E402
 from repro.store import ExprStore, ShardedExprStore  # noqa: E402
@@ -76,13 +66,6 @@ def _best_of(fn, repeats: int) -> float:
         fn()
         best = min(best, time.perf_counter() - start)
     return best
-
-
-def _shm_segments() -> set:
-    """POSIX shared-memory segments visible right now (empty off-Linux)."""
-    import glob
-
-    return set(glob.glob("/dev/shm/psm_*"))
 
 
 def store_cell(n_items: int, item_size: int, repeats: int) -> dict:
@@ -112,12 +95,11 @@ def store_cell(n_items: int, item_size: int, repeats: int) -> dict:
 
 
 def arena_cell(n_items: int, item_size: int, repeats: int) -> dict:
-    """Memoised tree walk vs arena batch path, single worker,
-    bit-identity checked.
+    """Memoised tree walk vs arena batch path, bit-identity checked.
 
-    The corpus is the duplicate-free one the PR-3 parallel cell
-    measured, so the arena's dedup ratio reflects structural repetition
-    in the expressions themselves, not object-identity repeats.
+    The corpus is duplicate-free, so the arena's dedup ratio reflects
+    structural repetition in the expressions themselves, not
+    object-identity repeats.
     """
     from repro.core.arena import flatten_corpus
 
@@ -170,45 +152,6 @@ def vec_cell(n_items: int, item_size: int, repeats: int) -> dict:
             arena, kernel="scalar"
         )
     return cell
-
-
-def parallel_cell(
-    n_items: int, item_size: int, workers_list: list[int], repeats: int
-) -> dict:
-    corpus = make_corpus(n_items, item_size, dup_fraction=0.0, seed=99)
-    nodes = sum(e.size for e in corpus)
-    cpus = available_cpus()
-    serial_hashes = Session().hash_corpus(corpus)
-    runs = []
-    serial_s = None
-    for workers in workers_list:
-
-        def one_pass(workers=workers):
-            # A fresh session per timing keeps the store memo cold --
-            # the cell measures the engine, not cache warmth -- and
-            # closing it releases the session-owned worker pool.
-            with Session(workers=workers) as session:
-                return session.hash_corpus(corpus)
-
-        elapsed = _best_of(one_pass, repeats)
-        identical = one_pass() == serial_hashes
-        if workers == 1:
-            serial_s = elapsed
-        runs.append(
-            {
-                "workers": workers,
-                "wall_s": round(elapsed, 4),
-                "identical": identical,
-                "speedup_vs_serial": (
-                    round(serial_s / elapsed, 3) if serial_s else None
-                ),
-                # More workers than CPUs: the speedup floor measures the
-                # hardware, not the engine -- consumers (the smoke gate,
-                # trajectory readers) must skip, not fail, these runs.
-                "cpu_bound": workers > cpus,
-            }
-        )
-    return {"items": n_items, "nodes": nodes, "cpus": cpus, "runs": runs}
 
 
 def sharded_cell(
@@ -307,7 +250,7 @@ def cluster_cell(n_items: int, item_size: int, repeats: int) -> dict:
             server.close()
 
 
-ALL_CELLS = ("store", "arena", "vec", "parallel", "sharded", "cluster")
+ALL_CELLS = ("store", "arena", "vec", "sharded", "cluster")
 
 
 def main(argv=None) -> int:
@@ -331,29 +274,20 @@ def main(argv=None) -> int:
         "--quick", action="store_true", help="CI-sized corpora (seconds)"
     )
     parser.add_argument("--repeats", type=int, default=3)
-    parser.add_argument(
-        "--workers",
-        type=int,
-        nargs="*",
-        default=None,
-        help="worker counts for the parallel cell (default: 1 2 4)",
-    )
     args = parser.parse_args(argv)
     out_path = args.out or f"BENCH_PR{args.pr}.json"
     cells = tuple(args.cells) if args.cells else ALL_CELLS
 
     if args.quick:
         store_shape = (40, 200)
-        par_shape = (1500, 60)
+        arena_shape = (1500, 60)
         shard_shape = (300, 120)
         cluster_shape = (300, 60)
     else:
         store_shape = (60, 400)
-        par_shape = (10_000, 60)
+        arena_shape = (10_000, 60)
         shard_shape = (1_000, 120)
         cluster_shape = (1_000, 60)
-    arena_shape = par_shape  # arena vs recursive on the parallel corpus
-    workers_list = args.workers or [1, 2, 4]
 
     record = {
         "schema": "repro-bench-trajectory-v1",
@@ -365,11 +299,6 @@ def main(argv=None) -> int:
         },
         "cells": {},
     }
-    # Shared-memory hygiene: the parallel cells below fan arenas out
-    # through /dev/shm segments; any segment still alive at the end is
-    # a leak and fails the run.
-    shm_before = _shm_segments()
-
     if "store" in cells:
         print(
             f"store cell ({store_shape[0]} items x {store_shape[1]} nodes)..."
@@ -388,17 +317,6 @@ def main(argv=None) -> int:
         print(f"vec cell ({arena_shape[0]} items x {arena_shape[1]} nodes)...")
         record["cells"]["vec"] = vec_cell(*arena_shape, args.repeats)
         print(f"  {json.dumps(record['cells']['vec'])}")
-
-    if "parallel" in cells:
-        print(
-            f"parallel cell ({par_shape[0]} items x {par_shape[1]} nodes, "
-            f"workers {workers_list})..."
-        )
-        record["cells"]["parallel"] = parallel_cell(
-            *par_shape, workers_list, args.repeats
-        )
-        for run in record["cells"]["parallel"]["runs"]:
-            print(f"  {json.dumps(run)}")
 
     if "sharded" in cells:
         print(
@@ -419,21 +337,10 @@ def main(argv=None) -> int:
         )
         print(f"  {json.dumps(record['cells']['cluster'])}")
 
-    leaked = sorted(_shm_segments() - shm_before)
-    record["leaked_shm_segments"] = len(leaked)
-
-    divergent = [
-        run
-        for run in record["cells"].get("parallel", {}).get("runs", [])
-        if not run["identical"]
-    ]
     with open(out_path, "w", encoding="utf-8") as handle:
         json.dump(record, handle, indent=2, sort_keys=True)
         handle.write("\n")
     print(f"wrote {out_path}")
-    if divergent:
-        print(f"FAIL: {len(divergent)} parallel run(s) diverged from serial")
-        return 1
     if not record["cells"].get("arena", {"identical": True})["identical"]:
         print("FAIL: arena kernel hashes diverged from the tree path")
         return 1
@@ -453,9 +360,6 @@ def main(argv=None) -> int:
         if not cluster_record["stats_conserved"]:
             print("FAIL: folded cluster stats not conserved across shards")
             return 1
-    if leaked:
-        print(f"FAIL: {len(leaked)} leaked shared-memory segment(s): {leaked}")
-        return 1
     return 0
 
 

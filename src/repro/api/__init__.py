@@ -10,14 +10,14 @@ behind one facade:
   store snapshots, and the pipeline entry points ``plan`` / ``execute``.
 * requests (:mod:`repro.api.request`) -- :class:`HashRequest` /
   :class:`InternRequest`, declarative corpus jobs carrying backend,
-  determinism and resource hints.
+  determinism and kernel hints.
 * the planner (:mod:`repro.api.plan`) -- resolves a request against a
-  session into an inspectable :class:`ExecutionPlan` (arena kernel,
-  workers, executor); ``engine="auto"`` picks the kernel at
-  one measured size crossover.
+  session into an inspectable :class:`ExecutionPlan` (backend, arena
+  kernel, executor); ``engine="auto"`` picks the kernel at one
+  measured size crossover.
 * executors (:mod:`repro.api.executors`) -- pluggable runners
-  (``serial`` / ``pool`` / ``async``) that drive the store and the
-  parallel engine; results are bit-identical across all of them.
+  (``serial`` / ``async``) that drive the store; results are
+  bit-identical across them.
 * :class:`AsyncSession` (:mod:`repro.api.aio`) -- the asyncio front
   end (awaitable corpus jobs, bounded in-flight, cancellation).
 * :class:`RemoteSession` (:mod:`repro.api.remote`) -- the same verbs
@@ -50,7 +50,6 @@ from repro.api.executors import (
     EXECUTORS,
     AsyncExecutor,
     Executor,
-    PooledExecutor,
     SerialExecutor,
     get_executor,
     register_executor,
@@ -87,7 +86,6 @@ __all__ = [
     "PlanError",
     "Executor",
     "SerialExecutor",
-    "PooledExecutor",
     "AsyncExecutor",
     "EXECUTORS",
     "get_executor",

@@ -1,11 +1,11 @@
 """``AsyncSession``: the asyncio front end over the Session pipeline.
 
 The ROADMAP's "async sessions" item: a server (or any event loop) wants
-to interleave several corpus jobs without blocking on the worker pools.
+to interleave several corpus jobs without blocking on them.
 :class:`AsyncSession` wraps a synchronous :class:`~repro.api.session.
 Session` and exposes awaitable corpus operations::
 
-    async with AsyncSession(workers=4) as asession:
+    async with AsyncSession(engine="auto") as asession:
         hashes = await asession.hash_corpus_async(corpus)
         ids = await asession.intern_many_async(corpus)
 
@@ -24,18 +24,17 @@ Semantics:
   semaphore, or queued behind the thread bridge) prevents it from ever
   touching the session; cancelling a *running* job lets the worker
   thread finish its store transaction and discards the result -- the
-  store is never left mid-write and the session-owned pools stay
-  reusable.  (Hashing is pure; interning is transactional per call.)
+  store is never left mid-write and the session stays reusable.
+  (Hashing is pure; interning is transactional per call.)
 * **One loop at a time.**  The semaphore binds to the first event loop
   that awaits a job; use one ``AsyncSession`` per loop (they are cheap
-  -- the expensive parts, store and pools, live on the inner session,
+  -- the expensive part, the store, lives on the inner session,
   which may be shared sequentially across loops).
 
 The blocking work runs on an :class:`~repro.api.executors.AsyncExecutor`
 thread bridge.  Jobs against one session are serialised at the store
-boundary (the summary memo is the shared mutable resource); the corpus
-*inside* a job still fans out over process/thread pools per its plan,
-which is where the actual parallelism lives under the GIL.
+boundary (the summary memo is the shared mutable resource), so the
+bridge buys responsiveness for the event loop, not parallel hashing.
 """
 
 from __future__ import annotations
@@ -55,12 +54,12 @@ __all__ = ["AsyncSession"]
 class AsyncSession:
     """Awaitable corpus hashing/interning over a synchronous session.
 
-    Construct around an existing session (shared store, shared pools)
+    Construct around an existing session (shared store)
     or from :class:`~repro.api.session.SessionConfig` keywords, which
     build a private session that :meth:`close` tears down::
 
         AsyncSession(session)                  # borrow
-        AsyncSession(workers=4, engine="auto") # own
+        AsyncSession(engine="auto")            # own
     """
 
     def __init__(
@@ -115,11 +114,10 @@ class AsyncSession:
         *,
         backend: Optional[str] = None,
         engine: Optional[str] = None,
-        workers: Optional[int] = None,
     ) -> list[int]:
         """Awaitable corpus hashing; bit-identical to the sync path."""
         return await self.execute_async(
-            HashRequest(exprs, backend=backend, engine=engine, workers=workers)
+            HashRequest(exprs, backend=backend, engine=engine)
         )
 
     async def intern_many_async(
@@ -127,13 +125,10 @@ class AsyncSession:
         exprs: Iterable[Expr],
         *,
         engine: Optional[str] = None,
-        workers: Optional[int] = None,
     ) -> list[int]:
         """Awaitable batch interning (same contract as
         :meth:`Session.intern_many`)."""
-        return await self.execute_async(
-            InternRequest(exprs, engine=engine, workers=workers)
-        )
+        return await self.execute_async(InternRequest(exprs, engine=engine))
 
     async def hash_async(self, expr: Expr) -> int:
         """Awaitable single-expression root hash."""

@@ -2,20 +2,17 @@
 
 The third stage of the request -> plan -> execute pipeline.  An
 executor receives the session, the original request and the resolved
-plan, and drives exactly the mechanism layers that already existed --
-``ExprStore.hash_corpus`` / ``intern_many`` serially,
-``parallel_hash_corpus`` over the session's process pool -- so results
-are bit-identical to the pre-pipeline paths by construction.
+plan, and drives the store's batch verbs (``ExprStore.hash_corpus`` /
+``intern_many``) in-process, so results are bit-identical to calling
+those verbs directly.
 
-Three executors ship:
+Two executors ship:
 
 * :class:`SerialExecutor` (``"serial"``) -- in-process, store-batched
   when the backend is store-backed, otherwise one backend pass per
   expression;
-* :class:`PooledExecutor` (``"pool"``) -- fans a hash corpus out over
-  the session-owned persistent :class:`~repro.store.WorkerPool`;
-* :class:`AsyncExecutor` (``"async"``) -- a thread-bridge that runs
-  either of the above off the calling thread and returns a
+* :class:`AsyncExecutor` (``"async"``) -- a thread bridge that runs
+  the serial executor off the calling thread and returns a
   ``concurrent.futures.Future``; :class:`~repro.api.aio.AsyncSession`
   builds its asyncio surface on it.
 
@@ -30,8 +27,6 @@ import threading
 from concurrent.futures import Future, ThreadPoolExecutor
 from typing import TYPE_CHECKING, Callable, Optional, Protocol, runtime_checkable
 
-from repro.store.parallel import parallel_hash_corpus
-
 if TYPE_CHECKING:  # pragma: no cover
     from repro.api.plan import ExecutionPlan
     from repro.api.request import HashRequest
@@ -40,7 +35,6 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = [
     "Executor",
     "SerialExecutor",
-    "PooledExecutor",
     "AsyncExecutor",
     "EXECUTORS",
     "get_executor",
@@ -82,42 +76,17 @@ class SerialExecutor:
         ]
 
 
-class PooledExecutor:
-    """Fan a hash corpus out over the session's process pool
-    (bit-identical to serial).
-
-    Plans reuse the session-owned persistent
-    :class:`~repro.store.WorkerPool` of the plan's worker count.
-    Intern plans run serially: the arena bulk intern beats any merge
-    of worker tables (the planner never routes them here).
-    """
-
-    name = "pool"
-
-    def run(self, session, request, plan) -> list[int]:
-        if plan.kind == "intern":
-            return _SERIAL.run(session, request, plan)
-        return parallel_hash_corpus(
-            request.exprs,
-            workers=plan.workers,
-            store=session.store,
-            engine=f"arena-{plan.kernel}",
-            pool=session._pool_for(plan.workers),
-        )
-
-
 class AsyncExecutor:
-    """A thread bridge over the synchronous executors.
+    """A thread bridge over the serial executor.
 
-    ``submit`` schedules the plan's own executor (serial or pool) on a
+    ``submit`` runs the plan through :class:`SerialExecutor` on a
     private thread pool and returns a ``concurrent.futures.Future``;
     ``run`` blocks on it, satisfying the :class:`Executor` protocol.
     Jobs against one session are serialised with a lock -- the store's
-    summary memo is the shared resource -- while the corpus *inside* a
-    job still fans out over the session's process pool per its plan.  A
-    bounded ``max_workers`` caps the threads; :class:`~repro.api.aio.
-    AsyncSession` adds the asyncio semantics (awaitables, cancellation,
-    bounded in-flight jobs) on top.
+    summary memo is the shared resource.  A bounded ``max_workers``
+    caps the threads; :class:`~repro.api.aio.AsyncSession` adds the
+    asyncio semantics (awaitables, cancellation, bounded in-flight
+    jobs) on top.
     """
 
     name = "async"
@@ -138,12 +107,9 @@ class AsyncExecutor:
         return self._threads
 
     def submit(self, session, request, plan) -> "Future[list[int]]":
-        inner = get_executor("pool" if plan.executor == "pool" else "serial")
-
         def job() -> list[int]:
             with self._session_lock:
-                # repro-lint: allow[lock-blocking,lock-cycle] reason=one job per session at a time is this lock's whole contract (the store's summary memo is the shared resource); inner is pinned to serial/pool on the line above, so the async executor can never re-enter itself
-                return inner.run(session, request, plan)
+                return _SERIAL.run(session, request, plan)
 
         return self._ensure().submit(job)
 
@@ -175,7 +141,7 @@ def register_executor(name: str, factory: Callable[[], Executor]) -> None:
     EXECUTORS[name] = factory
 
 
-# lint: returns SerialExecutor|PooledExecutor|AsyncExecutor
+# lint: returns SerialExecutor|AsyncExecutor
 def get_executor(name: str) -> Executor:
     """Build/fetch the executor registered under ``name``."""
     factory = EXECUTORS.get(name)
@@ -187,7 +153,5 @@ def get_executor(name: str) -> Executor:
 
 
 _SERIAL = SerialExecutor()
-_POOL = PooledExecutor()
 register_executor("serial", lambda: _SERIAL)
-register_executor("pool", lambda: _POOL)
 register_executor("async", AsyncExecutor)

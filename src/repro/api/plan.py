@@ -4,11 +4,11 @@ The :class:`Planner` turns a declarative :class:`~repro.api.request.
 HashRequest` / :class:`~repro.api.request.InternRequest` plus a
 :class:`~repro.api.session.Session` into an :class:`ExecutionPlan` --
 every decision the scattered kwargs of PRs 3-4 used to make inline
-(arena kernel, worker count, serial vs pooled executor) is made
-**here, once**, and the result is a frozen record the caller
-can inspect, log, or ship over the wire before anything runs::
+(backend, arena kernel, executor) is made **here, once**, and the
+result is a frozen record the caller can inspect, log, or ship over
+the wire before anything runs::
 
-    plan = session.plan(HashRequest(corpus, workers=4))
+    plan = session.plan(HashRequest(corpus, engine="auto"))
     print(plan.explain())       # why each choice was made
     session.execute(request, plan=plan)
 
@@ -26,11 +26,13 @@ points call too, so a planned request and a direct
 Executor policy
 ---------------
 
-A hash request with ``workers > 1``, a store-backed backend and more
-than one item runs on the session's process pool; everything else runs
-serially.  Intern requests always run serially: the arena bulk intern
-measured 9-13x faster than interning in workers and merging their
-tables, so there is nothing to fan out.
+Every request runs in-process on the serial executor: hash batches
+through ``ExprStore.hash_corpus``, intern batches through
+``ExprStore.intern_many``.  There is no process fan-out.  Flatten runs
+in the caller and is most of a batch (about 89% on the 600k-node
+benchmark corpus), so fanning out the kernel alone is capped near 1.1x
+by Amdahl's law, and on a 2-CPU host a worker pool measured slower
+than serial at every corpus size (see the README's "Scaling" section).
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ from typing import TYPE_CHECKING, Optional
 
 from repro.core import arena
 from repro.core.arena import VEC_MIN_NODES, choose_kernel
-from repro.store.parallel import resolve_workers
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.api.request import HashRequest
@@ -57,8 +58,8 @@ class PlanError(ValueError):
 class ExecutionPlan:
     """Every resolved decision for one request, before anything runs.
 
-    ``engine``, ``kernel`` and ``workers`` are concrete (no
-    ``"auto"``, no ``None``); ``executor`` names the registered
+    ``engine`` and ``kernel`` are concrete (no ``"auto"``);
+    ``executor`` names the registered
     executor that will carry the plan out (:mod:`repro.api.executors`);
     ``reasons`` records one line per decision for :meth:`explain`.
     """
@@ -67,8 +68,7 @@ class ExecutionPlan:
     backend: str  #: resolved unified-registry backend name
     store_backed: bool  #: whether the store's memo serves this backend
     engine: str  #: always ``"arena"``, the one batch engine
-    workers: int  #: resolved pool size (1 = serial)
-    executor: str  #: ``"serial"`` or ``"pool"``
+    executor: str  #: always ``"serial"``
     corpus_items: int  #: expressions in the request
     total_nodes: int  #: total AST nodes across the corpus
     bits: int  #: combiner width the job will run at
@@ -87,7 +87,7 @@ class ExecutionPlan:
             f"{self.kind} {self.corpus_items} expression(s), "
             f"{self.total_nodes} nodes -> engine={self.engine}, "
             f"kernel={self.kernel}, "
-            f"executor={self.executor}, workers={self.workers}, "
+            f"executor={self.executor}, "
             f"backend={self.backend}"
         )
         return "\n".join([head, *(f"  - {r}" for r in self.reasons)])
@@ -140,11 +140,12 @@ class Planner:
                     "with use_store=False"
                 )
             store_backed = True  # interning is defined over the store
+        elif not store_backed:
+            reasons.append(
+                f"backend {backend.name!r} times its own pass per expression"
+            )
 
-        # Resource hints fall back to the session's configured defaults.
-        workers = resolve_workers(
-            session.config.workers if request.workers is None else request.workers
-        )
+        # The engine hint falls back to the session's configured default.
         engine_hint = request.engine or session.config.engine
 
         total_nodes = request.total_nodes
@@ -162,45 +163,13 @@ class Planner:
                 f"{'>=' if kernel == 'vec' else '<'} crossover {VEC_MIN_NODES}"
             )
 
-        # Executor selection mirrors (and replaces) the inline branch
-        # the Session facade used to carry: fan out only hash requests,
-        # and only when there is a store to cooperate with and more
-        # than one item to fan.
-        if request.kind == "intern":
-            reasons.append(
-                "intern runs serially: the arena bulk intern beats "
-                "merging worker tables"
-            )
-            executor = "serial"
-            workers = 1
-        elif workers > 1 and not store_backed:
-            reasons.append(
-                f"backend {backend.name!r} times its own pass; staying serial"
-            )
-            executor = "serial"
-            workers = 1
-        elif workers > 1 and len(request.exprs) > 1:
-            executor = "pool"
-            reasons.append(
-                f"{workers} workers over the session's process pool "
-                f"({len(request.exprs)} items)"
-            )
-        else:
-            if workers > 1:
-                reasons.append(
-                    "corpus too small to fan out; running serially"
-                )
-                workers = 1
-            executor = "serial"
-
         num_shards = getattr(store, "num_shards", None)
         return ExecutionPlan(
             kind=request.kind,
             backend=backend.name,
             store_backed=store_backed,
             engine="arena",
-            workers=workers,
-            executor=executor,
+            executor="serial",
             corpus_items=len(request.exprs),
             total_nodes=total_nodes,
             bits=combiners.bits,

@@ -1,13 +1,13 @@
 """Declarative work requests: what to run, not how to run it.
 
-PRs 3 and 4 grew the execution knobs (``workers``, ``engine``, shard
-counts) organically onto every call site; this module
+PRs 3 and 4 grew the execution knobs (``engine``, shard counts)
+organically onto every call site; this module
 is the other half of the redesign that pulls them back behind one
 declarative record.  A request carries *intent* only:
 
 * :class:`HashRequest` -- "alpha-hash this corpus", plus optional
   backend, determinism hints (``bits``/``seed``, validated against the
-  executing session) and resource hints (``engine``/``workers``);
+  executing session) and the arena kernel hint (``engine``);
 * :class:`InternRequest` -- "intern this corpus", same hints.
 
 ``None`` for any hint means "the session's configured default".  A
@@ -15,7 +15,7 @@ declarative record.  A request carries *intent* only:
 into an inspectable :class:`~repro.api.plan.ExecutionPlan`, and an
 executor (:mod:`repro.api.executors`) runs the plan::
 
-    request = HashRequest(corpus, engine="auto", workers=4)
+    request = HashRequest(corpus, engine="auto")
     plan = session.plan(request)        # look before you leap
     hashes = session.execute(request)   # or execute(request, plan)
 
@@ -66,9 +66,6 @@ class HashRequest:
         Arena kernel hint (:data:`ENGINES`): ``"auto"`` /
         ``"arena-scalar"`` / ``"arena-vec"``; ``None`` defers to the
         session default.
-    workers:
-        Pool size hint (``0`` = one per CPU, ``1`` = serial); ``None``
-        defers to the session default.
     bits / seed:
         Determinism hints: when set, planning fails loudly unless the
         executing session's combiner family matches -- a request built
@@ -78,7 +75,6 @@ class HashRequest:
     exprs: tuple[Expr, ...] = field(repr=False)
     backend: Optional[str] = None
     engine: Optional[str] = None
-    workers: Optional[int] = None
     bits: Optional[int] = None
     seed: Optional[int] = None
 
@@ -103,8 +99,6 @@ class HashRequest:
                 f"engine must be one of {', '.join(ENGINES)}, "
                 f"got {self.engine!r}"
             )
-        if self.workers is not None and self.workers < 0:
-            raise ValueError(f"workers must be >= 0, got {self.workers}")
         if self.bits is not None and self.bits < 1:
             raise ValueError(f"bits must be >= 1, got {self.bits}")
 
@@ -140,8 +134,8 @@ class InternRequest(HashRequest):
     """One corpus-interning job: same hints, interning semantics.
 
     Interning always needs a store (planning fails on store-less
-    sessions) and always runs serially through the arena bulk intern,
-    whatever ``workers`` says (see :mod:`repro.api.plan`).
+    sessions) and runs through the arena bulk intern (see
+    :mod:`repro.api.plan`).
     """
 
     kind = "intern"

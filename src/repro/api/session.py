@@ -14,9 +14,9 @@ workflow behind one object::
     session.intern(expr)                      # canonical node id
 
     # corpus work is a request -> plan -> execute pipeline underneath:
-    request = HashRequest(corpus, workers=4, engine="auto")
+    request = HashRequest(corpus, engine="auto")
     session.plan(request)                     # inspectable ExecutionPlan
-    session.execute(request)                  # bit-identical to serial
+    session.execute(request)                  # same hashes as hash_corpus
     session.cse(expr); session.share(expr)    # apps, pooled through the store
     session.save("corpus.snap")               # persist intern table + memo
     warm = Session.load("corpus.snap")        # ...in another process
@@ -45,12 +45,7 @@ from repro.core.arena import ENGINE_CHOICES
 from repro.core.combiners import DEFAULT_SEED, HashCombiners
 from repro.core.hashed import AlphaHashes
 from repro.lang.expr import Expr
-from repro.store import (
-    ExprStore,
-    ShardedExprStore,
-    WorkerPool,
-    read_snapshot,
-)
+from repro.store import ExprStore, ShardedExprStore, read_snapshot
 
 __all__ = ["Session", "SessionConfig", "SessionError"]
 
@@ -74,15 +69,11 @@ class SessionConfig:
     intern/save/load become unavailable.  ``max_entries``/``memo_limit``
     configure the store's LRU-bounded mode.
 
-    Scaling knobs: ``num_shards`` (when set) backs the session with a
-    lock-striped :class:`~repro.store.ShardedExprStore`; ``workers``
-    sets the *default* pool size for :meth:`Session.hash_corpus` /
-    :meth:`Session.intern_many` (``1`` = serial, ``0`` = one per CPU;
-    hash batches fan out over one session-owned process pool, interning
-    always runs serially); ``engine`` picks the arena kernel for corpus
-    batches (``"auto"`` chooses by corpus size,
+    ``num_shards`` (when set) backs the session with a lock-striped
+    :class:`~repro.store.ShardedExprStore`; ``engine`` picks the arena
+    kernel for corpus batches (``"auto"`` chooses by corpus size,
     ``"arena-scalar"``/``"arena-vec"`` pin one -- see the README's
-    "Arena kernel" section).
+    "Arena kernel" section).  Every batch runs in-process.
     """
 
     backend: str = "ours"
@@ -91,7 +82,6 @@ class SessionConfig:
     use_store: bool = True
     max_entries: Optional[int] = None
     memo_limit: Optional[int] = None
-    workers: int = 1
     num_shards: Optional[int] = None
     engine: str = "auto"
 
@@ -111,6 +101,9 @@ class Session:
     """
 
     def __init__(self, config: Optional[SessionConfig] = None, **overrides):
+        # Retired pool size: callers outside this package still pass it
+        # (``ReproServer(port=0, workers=1)`` in ``perfbench/launcher.py``).
+        overrides.pop("workers", None)
         if config is None:
             config = SessionConfig(**overrides)
         elif overrides:
@@ -123,11 +116,6 @@ class Session:
                 f"{config.engine!r}"
             )
         self.config = config
-        #: Long-lived process pools keyed by worker count, created on
-        #: first parallel use and reused across hash_corpus calls until
-        #: close() -- the process start-up cost is paid once per
-        #: session, not once per batch.
-        self._pools: dict[int, WorkerPool] = {}
         #: The policy stage of the request -> plan -> execute pipeline.
         self.planner = Planner()
         self.backend: HasherBackend = get_backend(config.backend)
@@ -175,22 +163,15 @@ class Session:
             return self.store.hashes(expr)
         return self.backend.hash_all(expr, self.combiners)
 
-    def _pool_for(self, workers: int) -> WorkerPool:
-        pool = self._pools.get(workers)
-        if pool is None:
-            pool = WorkerPool(workers)
-            self._pools[workers] = pool
-        return pool
-
     # -- the request -> plan -> execute pipeline -------------------------------
 
     def plan(self, request: HashRequest) -> ExecutionPlan:
         """Resolve ``request`` into an inspectable :class:`ExecutionPlan`
-        (kernel, workers, executor) without running anything.
+        (backend, kernel, executor) without running anything.
         See :mod:`repro.api.plan` for the policy."""
         return self.planner.plan(self, request)
 
-    # repro-lint: allow[lock-blocking] reason=CPU-bound hashing/interning fan-out; a caller's service lock is what serializes the store mutation this performs, and no executor path touches a service lock of its own
+    # repro-lint: allow[lock-blocking] reason=CPU-bound hashing/interning; a caller's service lock is what serializes the store mutation this performs, and no executor path touches a service lock of its own
     def execute(
         self, request: HashRequest, plan: Optional[ExecutionPlan] = None
     ) -> list[int]:
@@ -198,14 +179,11 @@ class Session:
 
         The canonical entry point for corpus work::
 
-            session.execute(HashRequest(corpus, workers=4))
+            session.execute(HashRequest(corpus, engine="auto"))
             session.execute(InternRequest(corpus))
 
-        Results are bit-identical across executors and engines -- the
+        Results are bit-identical across executors and kernels -- the
         plan only decides *how* the same pure function is evaluated.
-        Pool-executor plans run on session-owned persistent pools; call
-        :meth:`close` (or use the session as a context manager) to
-        release them.
         """
         if plan is None:
             plan = self.plan(request)
@@ -215,26 +193,20 @@ class Session:
         """Root hashes of a whole corpus, store-batched when possible.
 
         Sugar for ``execute(HashRequest(exprs))``: the session's
-        configured ``workers`` / ``engine`` become
-        the planner's defaults, and results are **bit-identical** to the
-        serial path regardless of the plan.  To override them for one
-        call, pass a :class:`~repro.api.request.HashRequest` carrying
-        the hints to :meth:`execute`.
+        configured ``engine`` becomes the planner's default.  To
+        override it for one call, pass a
+        :class:`~repro.api.request.HashRequest` carrying the hint to
+        :meth:`execute`.
         """
         return self.execute(HashRequest(exprs))
 
     def close(self) -> None:
-        """Shut down the session's persistent worker pools (idempotent).
+        """Release the session's resources (idempotent).
 
-        The store and its caches survive -- only pool processes are
-        released.  Sessions are also context managers::
-
-            with Session(workers=4) as session:
-                session.hash_corpus(corpus)   # pool reused across calls
+        A session holds no processes, threads or files, so this does
+        nothing; it and the context-manager form keep ``with
+        Session() as session:`` callers working.
         """
-        pools, self._pools = self._pools, {}
-        for pool in pools.values():
-            pool.close()
 
     def __enter__(self) -> "Session":
         return self
@@ -259,9 +231,8 @@ class Session:
     def intern_many(self, exprs: Iterable[Expr]) -> list[int]:
         """Batch :meth:`intern`: one id per input, duplicates collapse.
 
-        Sugar for ``execute(InternRequest(exprs))``.  Interning always
-        runs serially through the arena bulk intern, whatever the
-        session's ``workers``.  Per-call hints ride on an
+        Sugar for ``execute(InternRequest(exprs))``, which runs the
+        arena bulk intern.  Per-call hints ride on an
         :class:`~repro.api.request.InternRequest` passed to
         :meth:`execute`.
         """
@@ -331,9 +302,7 @@ class Session:
             if isinstance(self.store, ShardedExprStore):
                 out["num_shards"] = self.store.num_shards
                 out["shard_sizes"] = self.store.shard_sizes()
-        out["workers"] = self.config.workers
         out["engine"] = self.config.engine
-        out["live_pools"] = sorted(self._pools)
         return out
 
     # -- persistence -----------------------------------------------------------
@@ -378,8 +347,9 @@ class Session:
 
         A saved config naming a retired engine (``"tree"``,
         ``"arena"``) is adopted as ``"auto"``, and saved keys this
-        release no longer has (such as the retired pool flavour) are
-        ignored, so snapshots written by older releases keep loading."""
+        release no longer has (such as the retired pool flavour and
+        pool size) are ignored, so snapshots written by older releases
+        keep loading."""
         meta = header.get("meta") or {}
         saved_config = meta.get("config") or {}
         engine = saved_config.get("engine", "auto")
@@ -399,7 +369,6 @@ class Session:
             use_store=True,
             max_entries=header.get("max_entries"),
             memo_limit=header.get("memo_limit"),
-            workers=saved_config.get("workers", 1),
             num_shards=num_shards,
             engine=engine,
         )

@@ -112,7 +112,7 @@ class StreamSession:
         open their sessions with ``False``: hashing needs no ownership,
         and sharing reports degrade to lookup + session-local history.
     hints:
-        Optional request hints (``engine`` / ``workers`` / ...) applied
+        Optional request hints (``engine`` / ``backend`` / ...) applied
         to the opening hash and intern requests, exactly like the
         keyword hints of :class:`~repro.api.request.HashRequest`.
 

@@ -206,7 +206,7 @@ class _CoordinatorHandler(_Handler):
             raise _RequestError(400, "body must carry an 'exprs' list")
         hints = {
             name: payload[name]
-            for name in ("backend", "engine", "workers")
+            for name in ("backend", "engine")
             if payload.get(name) is not None
         }
         return docs, hints

@@ -35,17 +35,15 @@ This module *compiles* a corpus once into an :class:`ExprArena`:
   that rule lives (``engine="auto"``); ``"arena-scalar"`` and
   ``"arena-vec"`` pin a kernel.
 
-Arenas are also cheap to ship: a handful of flat arrays, so
-arbitrarily deep corpora cross a process boundary -- as one
-shared-memory segment (:mod:`repro.core.arena_shm`) or a pickle, both
-iterative and O(bytes) -- that would overflow the C stack if the trees
-themselves were pickled (see :mod:`repro.store.parallel`).
+Arenas also pickle cheaply: a handful of flat arrays, so arbitrarily
+deep corpora round-trip iteratively in O(bytes), where pickling the
+trees themselves would overflow the C stack.
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 from repro.core.combiners import (
     _GOLDEN,
@@ -149,8 +147,8 @@ class ExprArena:
         binders, a ``literals`` index for Lit, ``-1`` for App.
     ``sizes[i]`` / ``depths[i]``
         Node count and height of the subtree (the structure tag of
-        Section 4.8 is ``sizes[i]``; ``depths`` also feeds the spawn
-        pickling guard and lets binder-depth diagnostics stay O(1)).
+        Section 4.8 is ``sizes[i]``; ``depths`` orders the vectorized
+        kernel's levels and lets binder-depth diagnostics stay O(1)).
 
     Structurally identical subtrees share one index, so the arena is a
     maximally-shared DAG over *syntactic* classes (finer than the
@@ -190,7 +188,7 @@ class ExprArena:
         self._lit_ids: dict[tuple, int] = {}
         self._struct: Optional[dict] = {}
 
-    # -- pickling (workers; see store/parallel.py) ---------------------------
+    # -- pickling --------------------------------------------------------------
 
     def __getstate__(self):
         # The structural index is derivable from the arrays; shipping it
@@ -526,10 +524,8 @@ def flatten_corpus(
 
 
 def arena_hash(
-    arena: ExprArena,
-    combiners: Optional[HashCombiners] = None,
-    only: Optional[Sequence[int]] = None,
-) -> list[Optional[int]]:
+    arena: ExprArena, combiners: Optional[HashCombiners] = None
+) -> list[int]:
     """Alpha-hash every arena node; ``tops[i]`` is node ``i``'s hash.
 
     The single post-order pass of Section 5 run at array speed: children
@@ -541,9 +537,7 @@ def arena_hash(
     the Lemma 6.1 merge bound while letting deduplicated nodes feed any
     number of parents.
 
-    ``only`` restricts work to the downward closure of the given roots
-    (other slots come back ``None``) -- this is the unit the parallel
-    engine fans out.  Bit-identical to
+    Bit-identical to
     :func:`~repro.core.hashed.alpha_hash_all` at every width; the
     single-lane fast path below inlines the splitmix64 chains, the
     multi-lane widths go through the same recipes via
@@ -555,44 +549,15 @@ def arena_hash(
 
     # Plain lists index faster than array('q') (no per-access int
     # materialisation); the one-shot conversion is C-speed, cheap next
-    # to the kernel even when ``only`` restricts the Python-speed work.
-    # ``tolist`` also accepts the numpy / memoryview columns a
-    # shared-memory attached arena carries (see repro.core.arena_shm).
+    # to the kernel.
     op = bytes(arena.op)
     left, right = arena.left.tolist(), arena.right.tolist()
     aux, sizes = arena.aux.tolist(), arena.sizes.tolist()
 
-    names, literals = arena.names, arena.literals
-    if only is None:
-        indices: Sequence[int] = range(n)
-        # Leaf tables: one hash per interned name / literal, not per node.
-        name_h = [combiners.hash_name(name) for name in names]
-        lit_s = [slit_hash(combiners, value) for value in literals]
-    else:
-        mask = arena.closure(only)
-        indices = [i for i in range(n) if mask[i]]
-        # The leaf tables are shared arena-wide; a restricted pass (one
-        # parallel chunk of many) hashes only the entries its closure
-        # touches, so per-chunk setup scales with the chunk.
-        name_used = bytearray(len(names))
-        lit_used = bytearray(len(literals))
-        for i in indices:
-            opc = op[i]
-            if opc == OP_LIT:
-                lit_used[aux[i]] = 1
-            elif opc != OP_APP:
-                name_used[aux[i]] = 1
-        # None marks slots the closure never dereferences (map keys and
-        # binder removals only involve names of in-closure Vars); the
-        # derived entry_pre/var_entry tables skip them too.
-        name_h = [
-            combiners.hash_name(name) if used else None
-            for name, used in zip(names, name_used)
-        ]
-        lit_s = [
-            slit_hash(combiners, value) if used else None
-            for value, used in zip(literals, lit_used)
-        ]
+    indices = range(n)
+    # Leaf tables: one hash per interned name / literal, not per node.
+    name_h = [combiners.hash_name(name) for name in arena.names]
+    lit_s = [slit_hash(combiners, value) for value in arena.literals]
 
     HERE = pt_here_hash(combiners)
     SVAR = svar_hash(combiners)
@@ -600,7 +565,7 @@ def arena_hash(
     TRUE = combiners.TRUE_HASH
     FALSE = combiners.FALSE_HASH
     entry2 = combine_chain(combiners, "entry", 2)
-    var_entry = [None if h is None else entry2(h, HERE) for h in name_h]
+    var_entry = [entry2(h, HERE) for h in name_h]
 
     # Integer-indexed memo arrays: structure hash, map hash, map, top.
     shs: list = [0] * n
@@ -609,7 +574,6 @@ def arena_hash(
     tops: list = [None] * n
 
     # Reference counts: how many parents will consume each node's map.
-    # (Children of in-closure nodes are in the closure by construction.)
     uses = [0] * n
     for i in indices:
         child = left[i]
@@ -671,12 +635,8 @@ def _arena_hash_lane1(
 
     # Per-name entry-chain states: entry(name, pos) resumes after the
     # name absorb, halving the per-entry work in merges and removals.
-    # (None slots are names outside a restricted pass's closure.)
     entry_pre = []
     for nh in name_h:
-        if nh is None:
-            entry_pre.append(None)
-            continue
         x = ((S_ENTRY ^ nh) + G) & M64
         x = ((x ^ (x >> 30)) * M0) & M64
         x = ((x ^ (x >> 27)) * M1) & M64
@@ -1011,21 +971,18 @@ def _arena_hash_generic(
 def arena_hash_any(
     arena: ExprArena,
     combiners: Optional[HashCombiners] = None,
-    only: Optional[Sequence[int]] = None,
     kernel: str = "scalar",
-) -> list[Optional[int]]:
+) -> list[int]:
     """Run the arena kernel named by ``kernel`` (``"vec"``/``"scalar"``,
     as :func:`choose_kernel` resolves it)."""
     if kernel == "vec":
-        return arena_hash_vec(arena, combiners, only=only)
-    return arena_hash(arena, combiners, only=only)
+        return arena_hash_vec(arena, combiners)
+    return arena_hash(arena, combiners)
 
 
 def arena_hash_vec(
-    arena: ExprArena,
-    combiners: Optional[HashCombiners] = None,
-    only: Optional[Sequence[int]] = None,
-) -> list[Optional[int]]:
+    arena: ExprArena, combiners: Optional[HashCombiners] = None
+) -> list[int]:
     """Vectorized arena kernel: the same pass, level-by-level in NumPy.
 
     ``depths`` orders the arena into levels (a node's children are
@@ -1058,9 +1015,8 @@ def arena_hash_vec(
     if combiners is None:
         combiners = default_combiners()
     n = len(arena.op)
-    out: list = [None] * n
     if n == 0:
-        return out
+        return []
 
     lanes = combiners._lanes
     two = lanes == 2
@@ -1098,15 +1054,9 @@ def arena_hash_vec(
         return h1, h0 & mask_hi
 
     def col_i64(col):
-        if isinstance(col, np.ndarray):
-            return col
         return np.frombuffer(col, dtype=np.int64)
 
-    opc = (
-        arena.op
-        if isinstance(arena.op, np.ndarray)
-        else np.frombuffer(arena.op, dtype=np.uint8)
-    )
+    opc = np.frombuffer(arena.op, dtype=np.uint8)
     left = col_i64(arena.left)
     right = col_i64(arena.right)
     aux = col_i64(arena.aux)
@@ -1115,37 +1065,18 @@ def arena_hash_vec(
     names, literals = arena.names, arena.literals
     n_names = len(names)
 
-    # -- indices: full pass or closure-restricted ----------------------------
-    restricted = only is not None
-    if not restricted:
-        idx = np.arange(n, dtype=np.int64)
-    else:
-        mask = np.frombuffer(arena.closure(only), dtype=np.uint8) != 0
-        idx = np.nonzero(mask)[0]
-
     # -- leaf tables (Python-speed, but per unique name/literal only) --------
-    name_used = np.zeros(n_names, dtype=bool)
-    lit_used = np.zeros(len(literals), dtype=bool)
-    if restricted:
-        op_i = opc[idx]
-        aux_i = aux[idx]
-        name_used[aux_i[(op_i != OP_APP) & (op_i != OP_LIT)]] = True
-        lit_used[aux_i[op_i == OP_LIT]] = True
-    else:
-        name_used[:] = True
-        lit_used[:] = True
-
     nh_lo = np.zeros(n_names, dtype=U)
     nh_hi = np.zeros(n_names, dtype=U) if two else None
-    for j in np.nonzero(name_used)[0].tolist():
-        h = combiners.hash_name(names[j])
+    for j, name in enumerate(names):
+        h = combiners.hash_name(name)
         nh_lo[j] = h & M64
         if two:
             nh_hi[j] = (h >> 64) & M64
     ls_lo = np.zeros(len(literals), dtype=U)
     ls_hi = np.zeros(len(literals), dtype=U) if two else None
-    for j in np.nonzero(lit_used)[0].tolist():
-        h = slit_hash(combiners, literals[j])
+    for j, literal in enumerate(literals):
+        h = slit_hash(combiners, literal)
         ls_lo[j] = h & M64
         if two:
             ls_hi[j] = (h >> 64) & M64
@@ -1158,8 +1089,7 @@ def arena_hash_vec(
     none_lo, none_hi = split(combiners.NONE_HASH)
     true_lo, true_hi = split(combiners.TRUE_HASH)
     false_lo, false_hi = split(combiners.FALSE_HASH)
-    # var_entry[nid] = entry(name, PTHere): unused slots hold garbage
-    # (their nh is 0) and are never read.
+    # var_entry[nid] = entry(name, PTHere).
     ve_lo, ve_hi = chain("entry", [(nh_lo, nh_hi), (here_lo, here_hi)])
 
     # -- per-node state columns ----------------------------------------------
@@ -1201,7 +1131,7 @@ def arena_hash_vec(
             self.size = need
             return s
 
-    pool = Pool(max(1024, 2 * len(idx)))
+    pool = Pool(max(1024, 2 * n))
 
     # -- batched map machinery -----------------------------------------------
     K = n_names + 1  # combined (segment, name-id) sort key stride
@@ -1376,18 +1306,12 @@ def arena_hash_vec(
         return shs_lo[nodes], shs_hi[nodes] if two else None
 
     # -- the level loop ------------------------------------------------------
-    if len(idx):
-        d_vals = depths[idx]
-        order = np.argsort(d_vals, kind="stable")
-        sorted_idx = idx[order]
-        sorted_d = d_vals[order]
-        bounds = np.nonzero(
-            np.concatenate(([True], sorted_d[1:] != sorted_d[:-1]))
-        )[0]
-        level_slices = list(zip(bounds.tolist(), bounds[1:].tolist() + [len(sorted_idx)]))
-    else:
-        sorted_idx = idx
-        level_slices = []
+    sorted_idx = np.argsort(depths, kind="stable")
+    sorted_d = depths[sorted_idx]
+    bounds = np.nonzero(
+        np.concatenate(([True], sorted_d[1:] != sorted_d[:-1]))
+    )[0]
+    level_slices = list(zip(bounds.tolist(), bounds[1:].tolist() + [n]))
 
     for lo_b, hi_b in level_slices:
         lvl = sorted_idx[lo_b:hi_b]
@@ -1536,28 +1460,7 @@ def arena_hash_vec(
                 shs_hi[sub] = s_hi
 
     # -- tops ----------------------------------------------------------------
-    if len(idx):
-        t_lo, t_hi = chain(
-            "top",
-            [
-                (shs_lo[idx], shs_hi[idx] if two else None),
-                (vmh_lo[idx], vmh_hi[idx] if two else None),
-            ],
-        )
-        if not two:
-            vals = t_lo.tolist()
-            if not restricted:
-                out = vals
-            else:
-                for i, v in zip(idx.tolist(), vals):
-                    out[i] = v
-        else:
-            lo_list = t_lo.tolist()
-            hi_list = t_hi.tolist()
-            if not restricted:
-                out = [(h << 64) | l for h, l in zip(hi_list, lo_list)]
-            else:
-                for i, h, l in zip(idx.tolist(), hi_list, lo_list):
-                    out[i] = (h << 64) | l
-
-    return out
+    t_lo, t_hi = chain("top", [(shs_lo, shs_hi), (vmh_lo, vmh_hi)])
+    if not two:
+        return t_lo.tolist()
+    return [(h << 64) | l for h, l in zip(t_hi.tolist(), t_lo.tolist())]

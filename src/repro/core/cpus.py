@@ -4,8 +4,8 @@
 over-subscribes worker pools inside containers and batch schedulers
 that pin the process to a subset (cgroup cpusets, ``taskset``,
 Kubernetes CPU limits expressed as affinity).  Everything in this
-repository that sizes a pool, clamps a client's ``workers`` request or
-decides whether a benchmark is CPU-starved goes through
+repository that sizes a thread pool or decides whether a benchmark is
+CPU-starved goes through
 :func:`available_cpus` instead, so the policy lives in exactly one
 place.
 """

@@ -1,7 +1,7 @@
 """`repro lint`: self-hosted static analysis for the repro codebase.
 
 The repo's two load-bearing guarantees -- bit-identity of every
-engine/worker/wire path, and no-acked-write-lost under failover -- are
+engine/kernel/wire path, and no-acked-write-lost under failover -- are
 enforced dynamically by the differential walls and chaos smokes.  This
 package is the static arm: an AST-based pass over ``src/repro`` that
 checks the *disciplines* those guarantees rest on.

@@ -10,7 +10,7 @@ cross-checked against runtime observations.
 Lock labels are short and globally unique by construction:
 ``ClassName.attr`` for instance locks (``ShardedExprStore._memo_lock``,
 ``_Shard.lock``) and ``modulebasename.NAME`` for module globals
-(``arena_shm._ATTACH_LOCK``).
+(``journal._LOCK`` would be one; the package has none today).
 """
 
 from __future__ import annotations

@@ -351,7 +351,6 @@ class ServiceClient:
         *,
         backend: Optional[str] = None,
         engine: Optional[str] = None,
-        workers: Optional[int] = None,
         with_plan: bool = False,
     ) -> Union[list[int], tuple[list[int], dict]]:
         """Root alpha-hashes of ``exprs``, computed by the server.
@@ -364,14 +363,7 @@ class ServiceClient:
         reply = self._json(
             "POST",
             "/v1/hash",
-            self._corpus_payload(
-                exprs,
-                {
-                    "backend": backend,
-                    "engine": engine,
-                    "workers": workers,
-                },
-            ),
+            self._corpus_payload(exprs, {"backend": backend, "engine": engine}),
         )
         if with_plan:
             return reply["hashes"], reply["plan"]
@@ -382,13 +374,10 @@ class ServiceClient:
         exprs: Iterable[Expr],
         *,
         engine: Optional[str] = None,
-        workers: Optional[int] = None,
     ) -> list[int]:
         """Intern ``exprs`` into the server store; returns node ids."""
         reply = self._json(
-            "POST",
-            "/v1/intern",
-            self._corpus_payload(exprs, {"engine": engine, "workers": workers}),
+            "POST", "/v1/intern", self._corpus_payload(exprs, {"engine": engine})
         )
         return reply["ids"]
 
@@ -400,7 +389,6 @@ class ServiceClient:
         *,
         ttl: Optional[float] = None,
         engine: Optional[str] = None,
-        workers: Optional[int] = None,
     ) -> dict:
         """Open a server-side :class:`~repro.api.stream.StreamSession`.
 
@@ -408,9 +396,7 @@ class ServiceClient:
         root hashes and the resolved plan.  Stream edits with
         :meth:`session_edit`; the server holds the trees.
         """
-        payload = self._corpus_payload(
-            exprs, {"ttl": ttl, "engine": engine, "workers": workers}
-        )
+        payload = self._corpus_payload(exprs, {"ttl": ttl, "engine": engine})
         return self._json("POST", "/v1/session/open", payload)
 
     def session_edit(

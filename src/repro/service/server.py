@@ -6,7 +6,7 @@ versioned under ``/v1``:
 
 ===========================  ==================================================
 ``GET  /v1/health``          liveness + combiner family + store shape
-``GET  /v1/stats``           :meth:`Session.stats` (entries, hit rates, pools)
+``GET  /v1/stats``           :meth:`Session.stats` (entries, hit rates, engine)
 ``GET  /v1/metrics``         operational metrics: uptime, request count,
                              hit/miss rates, shard occupancy, engine/kernel
 ``POST /v1/hash``            ``{"exprs": [wire...], hints...}`` ->
@@ -43,17 +43,17 @@ Expressions ride as the flat postorder documents of
 checksummed snapshot format (:func:`repro.store.snapshot_to_bytes` /
 ``snapshot_from_bytes``) -- a sharded server store produces the v2
 sharded layout, a flat one the v1 layout, and clients can load either.
-Hash/intern hints (``engine`` / ``workers`` / ``backend``) are
+Hash/intern hints (``engine`` / ``backend`` / ``bits`` / ``seed``) are
 lowered into a :class:`~repro.api.request.HashRequest` server-side,
 so a remote call and a local call run the *same* plan and return
 bit-identical hashes; the resolved plan is echoed in the response for
-inspectability.
+inspectability.  Keys the server does not know (such as the retired
+``workers`` and ``mode`` hints) are ignored.
 
 Concurrency: the listener is a ``ThreadingHTTPServer`` (slow clients
 don't starve the accept loop), while store-touching work is serialised
-per server -- the session is the shared resource; the parallelism that
-matters (hash fan-out over the session's process pool) happens *inside*
-a request per its plan.
+per server -- the session is the shared resource, and every batch runs
+in-process on the handling thread.
 
 Cluster membership: a server started with ``shard_id``/``shard_count``
 is one node of a hash cluster (see :mod:`repro.cluster`).  It hashes
@@ -98,21 +98,6 @@ __all__ = ["ReproServer", "serve"]
 MAX_BODY_BYTES = 256 * 1024 * 1024
 
 
-def _max_request_workers() -> int:
-    """Ceiling on a client-supplied ``workers`` hint.
-
-    ``workers`` reaches ``Session._pool_for`` and starts real
-    processes; without a cap a remote client could ask for thousands.
-    The cap is one worker per *available* CPU (affinity- and
-    cgroup-aware, not the machine's raw count): more workers than CPUs
-    only time-slice the same cores, so clamping (rather than rejecting)
-    loses the client nothing.
-    """
-    from repro.core.cpus import available_cpus
-
-    return available_cpus()
-
-
 class _RequestError(Exception):
     """A client error carrying its HTTP status."""
 
@@ -133,14 +118,9 @@ def _decode_corpus(payload: dict) -> list:
 
 def _request_hints(payload: dict) -> dict:
     hints = {}
-    for name in ("backend", "engine", "workers", "bits", "seed"):
+    for name in ("backend", "engine", "bits", "seed"):
         if payload.get(name) is not None:
             hints[name] = payload[name]
-    workers = hints.get("workers")
-    if isinstance(workers, int) and workers > 0:
-        # 0 already means "one per CPU"; clamp explicit asks to the same
-        # ceiling so clients cannot make the server fork unboundedly.
-        hints["workers"] = min(workers, _max_request_workers())
     return hints
 
 
@@ -309,7 +289,6 @@ class _Handler(BaseHTTPRequestHandler):
             "backend": stats.get("backend"),
             "engine": engine,
             "kernel": kernel,
-            "workers": stats.get("workers"),
             "shard_id": service.shard_id,
             "shard_count": service.shard_count,
             "sessions": sessions_block,
@@ -666,7 +645,7 @@ class ReproServer:
     Usable embedded (tests spin one up on an ephemeral port) or via the
     ``repro serve`` CLI::
 
-        with ReproServer(port=0, workers=2) as server:
+        with ReproServer(port=0) as server:
             client = ServiceClient(server.url)
             client.hash_corpus(corpus)
 
@@ -1070,13 +1049,6 @@ def serve(argv=None) -> int:
     parser.add_argument("--bits", type=int, default=64)
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="default pool size for corpus requests (0 = one per CPU; "
-        "default 1, or the snapshot's saved default with --load)",
-    )
-    parser.add_argument(
         "--engine", choices=ENGINE_CHOICES, default=None
     )
     parser.add_argument(
@@ -1169,16 +1141,8 @@ def serve(argv=None) -> int:
                 "drop --bits/--seed/--num-shards"
             )
         session = Session.from_snapshot_bytes(checkpoint_bytes, backend=args.backend)
-        overrides = {
-            name: value
-            for name, value in (
-                ("workers", args.workers),
-                ("engine", args.engine),
-            )
-            if value is not None
-        }
-        if overrides:
-            session.config = replace(session.config, **overrides)
+        if args.engine is not None:
+            session.config = replace(session.config, engine=args.engine)
     elif args.load:
         if args.bits != 64 or args.seed is not None or args.num_shards is not None:
             parser.error(
@@ -1186,25 +1150,16 @@ def serve(argv=None) -> int:
                 "drop --bits/--seed/--num-shards"
             )
         session = Session.load(args.load, backend=args.backend)
-        # Scheduling knobs are not store shape: explicit CLI values
-        # override the snapshot's saved defaults rather than being
-        # silently ignored.
-        overrides = {
-            name: value
-            for name, value in (
-                ("workers", args.workers),
-                ("engine", args.engine),
-            )
-            if value is not None
-        }
-        if overrides:
-            session.config = replace(session.config, **overrides)
+        # The engine is not store shape: an explicit --engine overrides
+        # the snapshot's saved default rather than being silently
+        # ignored.
+        if args.engine is not None:
+            session.config = replace(session.config, engine=args.engine)
     else:
         session = Session(
             backend=args.backend,
             bits=args.bits,
             seed=args.seed,
-            workers=1 if args.workers is None else args.workers,
             engine=args.engine or "auto",
             num_shards=args.num_shards,
         )
@@ -1243,8 +1198,8 @@ def serve(argv=None) -> int:
     )
 
     # SIGTERM (supervisors, CI teardown) exits through the same clean
-    # path as Ctrl-C: the accept loop unwinds, the socket is released,
-    # worker pools shut down.  No leaked listeners.
+    # path as Ctrl-C: the accept loop unwinds and the socket is
+    # released.  No leaked listeners.
     import signal
 
     def _on_sigterm(signum, frame):

@@ -66,17 +66,13 @@ def hash_corpus_arena(
     store: Optional["ExprStore"],
     corpus: Sequence[Expr],
     combiners=None,
-    fanout=None,
     kernel: str = "scalar",
 ) -> list[int]:
     """Root alpha-hashes of ``corpus`` through the arena kernel.
 
     ``store`` may be ``None`` (pure function mode: no memo consults, no
-    stats; ``combiners`` must then be given).  ``fanout``, when set, is
-    ``fanout(arena, unique_roots) -> {root_index: top}`` and replaces
-    the local kernel run -- the parallel engine plugs its worker pools
-    in here, so serial and parallel share every other line of this
-    path.  ``kernel`` picks the vectorized or scalar array kernel.
+    stats; ``combiners`` must then be given).  ``kernel`` picks the
+    vectorized or scalar array kernel.
     """
     # Sharded stores guard their memo behind an RLock; every touch of
     # root_memo / stats / the flush below happens under it (re-entrant,
@@ -113,10 +109,7 @@ def hash_corpus_arena(
 
     if pending:
         arena, roots = flatten_corpus(pending)
-        if fanout is None:
-            tops = arena_hash_any(arena, combiners, kernel=kernel)
-        else:
-            tops = fanout(arena, sorted(set(roots)))
+        tops = arena_hash_any(arena, combiners, kernel=kernel)
         if store is None:
             for root, index in zip(roots, pending_at):
                 results[index] = tops[root]
@@ -131,11 +124,11 @@ def hash_corpus_arena(
                     top = tops[root]
                     root_memo[id(expr)] = (expr, top)
                     results[index] = top
-                if fanout is None and store.memo_limit is None:
-                    # Serial passes produce per-node tops: stash the
+                if store.memo_limit is None:
+                    # The pass produced per-node tops: stash the
                     # compile so a following bulk intern of the same
                     # corpus reuses it (one-shot; the consumer clears
-                    # it).  Fanned-out passes only have root tops.
+                    # it).
                     store._arena_compile_cache = (
                         arena,
                         pending,

@@ -4,13 +4,14 @@ The arena engine (:mod:`repro.core.arena`) re-implements the paper's
 single-pass hashing over a post-order struct-of-arrays compilation of
 the corpus.  Its one contract is *bit-identity* with the tree oracle --
 :func:`repro.core.hashed.alpha_hash_all` -- on every input, at every
-combiner width, serially and on the process pool.  This wall pins that
-contract on adversarial corpora (deep chains, heavy sharing, shadowed
-binders, a depth-5000 degenerate case), plus the arena's own
-mechanics: flatten-time dedup, ``flatten -> rebuild`` round-trips,
-incremental flattening, pickling (the spawn wire format), and
-``only=``-restricted kernel runs.
+combiner width.  This wall pins that contract on adversarial corpora
+(deep chains, heavy sharing, shadowed binders, a depth-5000 degenerate
+case), plus the arena's own mechanics: flatten-time dedup,
+``flatten -> rebuild`` round-trips, incremental flattening and
+pickling.
 """
+
+import multiprocessing
 
 import pickle
 import random
@@ -31,13 +32,7 @@ from repro.core.hashed import alpha_hash_all
 from repro.gen.adversarial import adversarial_pair
 from repro.gen.random_exprs import alpha_rename, random_expr
 from repro.lang.expr import App, Expr, Lam, Let, Lit, Var
-from repro.store import (
-    ExprStore,
-    ShardedExprStore,
-    WorkerPool,
-    hash_corpus_arena,
-    parallel_hash_corpus,
-)
+from repro.store import ExprStore, ShardedExprStore, hash_corpus_arena
 
 DEPTH_DEEP = 5000
 
@@ -286,20 +281,9 @@ class TestRoundTrip:
 
 
 class TestKernelMechanics:
-    def test_only_restricts_work(self):
-        corpus = mixed_corpus(40, seed=8)
-        arena, roots = flatten_corpus(corpus)
-        full = arena_hash(arena, default_combiners())
-        some = sorted(set(roots[:10]))
-        partial = arena_hash(arena, default_combiners(), only=some)
-        for r in some:
-            assert partial[r] == full[r]
-        outside = set(i for i, b in enumerate(arena.closure(some)) if not b)
-        assert all(partial[i] is None for i in outside)
-
     def test_pickle_round_trip(self):
-        """The spawn wire format: flat arrays survive pickling, the
-        revived arena hashes identically and keeps growing."""
+        """Flat arrays survive pickling; the revived arena hashes
+        identically and keeps growing."""
         corpus = mixed_corpus(60, seed=17)
         arena, roots = flatten_corpus(corpus)
         revived = pickle.loads(pickle.dumps(arena))
@@ -314,12 +298,11 @@ class TestKernelMechanics:
 
     def test_deep_arena_pickles_iteratively(self):
         """Depth-5000 trees cannot be pickled directly (recursion), but
-        their arena can -- that is what lifts the fork-only restriction."""
+        their arena can."""
         arena, roots = flatten_corpus([left_skewed_app(DEPTH_DEEP)])
         revived = pickle.loads(pickle.dumps(arena))
-        tops = arena_hash(revived, default_combiners(), only=[roots[0]])
-        ref = arena_hash(arena, default_combiners())
-        assert tops[roots[0]] == ref[roots[0]]
+        tops = arena_hash(revived, default_combiners())
+        assert tops == arena_hash(arena, default_combiners())
 
     def test_choose_kernel(self):
         vec = "vec" if HAVE_NUMPY else "scalar"
@@ -453,7 +436,9 @@ class TestStoreIntegration:
 
 
 class TestSpawnParallel:
-    """The lifted restriction: arena chunks cross any process boundary."""
+    """What the retired process fan-out promised, kept on the one
+    in-process batch path: bit-identity, depth 5000, reuse across
+    batches, safe concurrent batches, and no process ever started."""
 
     @pytest.fixture(scope="class")
     def corpus(self):
@@ -464,71 +449,53 @@ class TestSpawnParallel:
         return memo_hashes(corpus)
 
     def test_pool_bit_identity(self, corpus, serial):
-        assert (
-            parallel_hash_corpus(corpus, workers=2, engine="auto") == serial
-        )
+        assert ExprStore().hash_corpus(corpus, engine="auto") == serial
+        assert Session(workers=2, engine="auto").hash_corpus(corpus) == serial
 
     def test_pool_depth_5000(self):
-        """Depth-5000 trees cannot be pickled directly (recursion); the
-        fan-out must not care -- workers attach the arena's columns."""
+        """Depth-5000 trees on every kernel and through a session that
+        still passes the retired ``workers`` keyword."""
         corpus = [left_skewed_app(DEPTH_DEEP), lam_chain(DEPTH_DEEP)] * 3
         oracle = tree_hashes(corpus)
         assert kernel_hashes(corpus) == oracle
-        assert (
-            parallel_hash_corpus(corpus, workers=2, engine="auto") == oracle
-        )
-        with Session(workers=2) as session:
-            assert session.hash_corpus(corpus) == oracle
+        for engine in ENGINE_CHOICES_HERE:
+            assert ExprStore().hash_corpus(corpus, engine=engine) == oracle
+        assert Session(workers=2).hash_corpus(corpus) == oracle
 
     def test_persistent_pool_reuse(self, corpus, serial):
-        with WorkerPool(2) as pool:
-            first = parallel_hash_corpus(
-                corpus, workers=2, engine="auto", pool=pool
-            )
-            assert pool.started
-            second = parallel_hash_corpus(
-                corpus, workers=2, engine="auto", pool=pool
-            )
-        assert first == serial and second == serial
-        assert not pool.started
+        """One session across batches: the second batch is answered from
+        the arena root cache without hashing a node."""
+        session = Session(engine="auto")
+        assert session.hash_corpus(corpus) == serial
+        hashed = session.store.stats.hashed_nodes
+        assert session.hash_corpus(corpus) == serial
+        assert session.store.stats.hashed_nodes == hashed
 
-    def test_pool_close_is_idempotent(self):
-        pool = WorkerPool(2)
-        pool.close()
-        pool.close()
-        assert not pool.started
-
-    def test_abandoned_pool_reclaimed_by_gc(self):
-        """An un-closed pool (one-shot session, no close()) must not
-        strand workers: the GC finalizer shuts it down."""
-        import gc
-
-        pool = WorkerPool(2)
-        pool.map(len, [(1, 2)])
-        finalizer = pool._finalizer
-        assert finalizer is not None and finalizer.alive
-        del pool
-        gc.collect()
-        assert not finalizer.alive
+    def test_pool_close_is_idempotent(self, corpus, serial):
+        with Session() as session:
+            assert session.hash_corpus(corpus) == serial
+        session.close()
+        session.close()
+        assert session.hash_corpus(corpus) == serial
 
     def test_session_owns_pools_and_closes(self, corpus, serial):
+        children = set(multiprocessing.active_children())
         with Session(workers=2, engine="auto") as session:
             assert session.hash_corpus(corpus) == serial
-            assert session.hash_corpus(corpus) == serial
-            assert session.stats()["live_pools"] == [2]
-        assert session.stats()["live_pools"] == []
+            stats = session.stats()
+        assert "workers" not in stats
+        assert set(multiprocessing.active_children()) <= children
 
     def test_store_stats_fold_back(self, corpus):
         store = ExprStore()
-        parallel_hash_corpus(corpus, workers=2, engine="auto", store=store)
+        store.hash_corpus(corpus, engine="auto")
         assert store.stats.hashed_nodes > 0
 
     def test_concurrent_parallel_calls_on_shared_sharded_store(
         self, corpus, serial
     ):
         """The arena path takes the sharded store's memo lock: several
-        threads fanning out over one store at once (each batch on its
-        own temporary pool and shared-memory segment) must not corrupt
+        threads hashing batches on one store at once must not corrupt
         it."""
         import threading
 
@@ -536,9 +503,7 @@ class TestSpawnParallel:
         outputs: dict[int, list] = {}
 
         def run(slot):
-            outputs[slot] = parallel_hash_corpus(
-                corpus, workers=2, engine="auto", store=store
-            )
+            outputs[slot] = store.hash_corpus(corpus, engine="auto")
 
         threads = [threading.Thread(target=run, args=(t,)) for t in range(3)]
         for t in threads:

@@ -49,8 +49,10 @@ class TestAsyncBitIdentity:
 
     def test_async_pool_plan_equals_serial(self, corpus, expected):
         async def main():
-            async with AsyncSession(workers=2) as asession:
-                return await asession.hash_corpus_async(corpus)
+            async with AsyncSession() as asession:
+                plan = asession.session.plan(HashRequest(corpus))
+                assert plan.executor == "serial"
+                return await asession.execute_async(HashRequest(corpus), plan)
 
         assert asyncio.run(main()) == expected
 
@@ -192,46 +194,44 @@ class TestCancellation:
         assert asyncio.run(main()) == expected
 
     def test_pool_reusable_after_cancellation(self, corpus, expected):
-        """A pooled session keeps its persistent WorkerPool working
-        across a cancelled job."""
-        session = Session(workers=2)
-        try:
+        """A borrowed session keeps working across a cancelled job."""
+        session = Session()
 
-            async def main():
-                async with AsyncSession(session, max_in_flight=1) as asession:
-                    running = asyncio.ensure_future(
-                        asession.hash_corpus_async(corpus)
-                    )
-                    victim = asyncio.ensure_future(
-                        asession.hash_corpus_async(corpus)
-                    )
-                    await asyncio.sleep(0)
-                    victim.cancel()
-                    first, second = await asyncio.gather(
-                        running, victim, return_exceptions=True
-                    )
-                    assert first == expected
-                    assert isinstance(second, asyncio.CancelledError)
-                    return await asession.hash_corpus_async(corpus)
+        async def main():
+            async with AsyncSession(session, max_in_flight=1) as asession:
+                running = asyncio.ensure_future(
+                    asession.hash_corpus_async(corpus)
+                )
+                victim = asyncio.ensure_future(
+                    asession.hash_corpus_async(corpus)
+                )
+                await asyncio.sleep(0)
+                victim.cancel()
+                first, second = await asyncio.gather(
+                    running, victim, return_exceptions=True
+                )
+                assert first == expected
+                assert isinstance(second, asyncio.CancelledError)
+                return await asession.hash_corpus_async(corpus)
 
-            assert asyncio.run(main()) == expected
-            # ...and the synchronous session still works afterwards.
-            assert session.execute(HashRequest(corpus)) == expected
-        finally:
-            session.close()
+        assert asyncio.run(main()) == expected
+        # ...and the synchronous session still works afterwards.
+        assert session.execute(HashRequest(corpus)) == expected
 
 
 class TestLifecycle:
     def test_owned_session_closes_with_wrapper(self):
-        asession = AsyncSession(workers=2)
+        asession = AsyncSession(engine="auto")
         inner = asession.session
         asession.close()
         asession.close()  # idempotent
-        assert inner._pools == {}
+        assert asession._bridge._threads is None
+        expr = parse("x")
+        assert inner.hash_corpus([expr]) == [alpha_hash_all(expr).root_hash]
 
     def test_borrow_xor_kwargs(self):
         with pytest.raises(TypeError, match="not both"):
-            AsyncSession(Session(), workers=2)
+            AsyncSession(Session(), engine="auto")
 
     def test_max_in_flight_validated(self):
         with pytest.raises(ValueError, match="max_in_flight"):

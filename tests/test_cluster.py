@@ -7,6 +7,7 @@ snapshot union equals a flat store, a dead shard degrades to a bounded
 503 that names it, and replicas catch up over ``/v1/snapshot/delta``.
 """
 
+import multiprocessing
 import random
 import time
 
@@ -345,20 +346,24 @@ class TestRetiredEngineHints:
         )
 
 
+def _assert_hint_ignored(front_url, corpus, hint):
+    """A body carrying ``hint`` is answered exactly like the same body
+    without it, on ``/v1/hash`` and ``/v1/intern``."""
+    client = ServiceClient(front_url, retries=0)
+    docs = [to_wire(e) for e in corpus[:8]]
+    for path, key in (("/v1/hash", "hashes"), ("/v1/intern", "ids")):
+        plain = client._json("POST", path, {"exprs": docs})
+        hinted = client._json("POST", path, {"exprs": docs, **hint})
+        assert hinted[key] == plain[key], path
+
+
 class TestRetiredModeHint:
     """``mode`` (the retired pool flavour) is an unrecognised body key
     now: a body carrying it is answered exactly like the same body
     without it -- on a node and through the coordinator."""
 
     def _assert_ignored(self, front_url, corpus):
-        client = ServiceClient(front_url, retries=0)
-        docs = [to_wire(e) for e in corpus[:8]]
-        for path, key in (("/v1/hash", "hashes"), ("/v1/intern", "ids")):
-            plain = client._json("POST", path, {"exprs": docs})
-            hinted = client._json(
-                "POST", path, {"exprs": docs, "mode": "thread"}
-            )
-            assert hinted[key] == plain[key], path
+        _assert_hint_ignored(front_url, corpus, {"mode": "thread"})
 
     def test_node_ignores_mode(self, corpus, expected):
         with ReproServer(port=0) as node:
@@ -373,3 +378,30 @@ class TestRetiredModeHint:
     def test_coordinator_ignores_mode(self, cluster, corpus):
         coordinator, _nodes, _reply = cluster
         self._assert_ignored(coordinator.url, corpus)
+
+
+class TestRetiredWorkersHint:
+    """``workers`` (the retired pool size) is an unrecognised body key
+    too: even an absurd ask is answered like the body without it, and
+    no child process starts -- on a node and through the coordinator."""
+
+    HINT = {"workers": 5000}
+
+    def test_node_ignores_workers(self, corpus, expected):
+        children = set(multiprocessing.active_children())
+        with ReproServer(port=0) as node:
+            _assert_hint_ignored(node.url, corpus, self.HINT)
+            hashes = ServiceClient(node.url)._json(
+                "POST",
+                "/v1/hash",
+                {"exprs": [to_wire(e) for e in corpus], **self.HINT},
+            )["hashes"]
+            assert hashes == expected
+            assert "workers" not in ServiceClient(node.url).metrics()
+        assert set(multiprocessing.active_children()) <= children
+
+    def test_coordinator_ignores_workers(self, cluster, corpus):
+        coordinator, _nodes, _reply = cluster
+        children = set(multiprocessing.active_children())
+        _assert_hint_ignored(coordinator.url, corpus, self.HINT)
+        assert set(multiprocessing.active_children()) <= children

@@ -219,17 +219,19 @@ class TestVeryDeepChains:
         assert store.intern(lam_chain(DEPTH_DEEP)) == a
 
     def test_parallel_engine_handles_deep_corpus(self):
-        """Fork workers inherit the corpus through process memory; the
-        engine must not fall back to pickling, which recurses."""
-        from repro.store import parallel_hash_corpus
+        """The batch engine flattens iteratively: every kernel hashes a
+        deep corpus exactly like the tree oracle."""
+        from repro.core.arena import HAVE_NUMPY
 
         corpus = [lam_chain(DEPTH_DEEP), right_skewed_app(DEPTH_DEEP)]
-        assert parallel_hash_corpus(corpus, workers=2) == ExprStore(
-        ).hash_corpus(corpus)
+        oracle = [alpha_hash_all(e).root_hash for e in corpus]
+        engines = ("arena-scalar",) + (("arena-vec",) if HAVE_NUMPY else ())
+        for engine in engines:
+            assert ExprStore().hash_corpus(corpus, engine=engine) == oracle
 
     def test_pickle_is_the_recursive_path(self):
-        """Canary: if pickling deep trees ever stops recursing, the
-        engine's fork-only shipping rule can be revisited."""
+        """Canary: pickling deep trees recurses, which is why anything
+        shipping a corpus ships its arena (flat arrays), not trees."""
         with pytest.raises(RecursionError):
             pickle.dumps(lam_chain(DEPTH_DEEP))
 

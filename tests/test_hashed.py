@@ -220,11 +220,16 @@ class TestLitCacheBitExactness:
         assert hashes.hash_of(tree.arg) == alpha_hash_root(Lit(-0.0))
 
     def test_store_corpus_matches_fresh_and_parallel(self):
-        from repro.store import ExprStore, parallel_hash_corpus
+        from repro.api import Session
+        from repro.core.arena import ENGINE_CHOICES, HAVE_NUMPY
+        from repro.store import ExprStore
 
         corpus = [Lit(0.0), Lit(-0.0), App(Lit(0.0), Lit(-0.0))]
         fresh = [alpha_hash_root(e) for e in corpus]
-        assert ExprStore().hash_corpus(corpus) == fresh
-        assert parallel_hash_corpus(corpus, workers=2) == fresh
+        for engine in ENGINE_CHOICES:
+            if engine == "arena-vec" and not HAVE_NUMPY:
+                continue
+            assert ExprStore().hash_corpus(corpus, engine=engine) == fresh
+        assert Session(workers=2).hash_corpus(corpus) == fresh
         store = ExprStore()
         assert store.intern(Lit(0.0)) != store.intern(Lit(-0.0))

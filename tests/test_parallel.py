@@ -1,31 +1,33 @@
-"""Parallel corpus engine: serial/parallel differential + determinism.
+"""The retired corpus fan-out: one in-process batch path, old knobs inert.
 
-The engine's contract is *bit-identity*: ``hash_corpus(workers=N)``
-must agree hash-for-hash, position-for-position with ``workers=1`` over
-any corpus -- random, adversarial, duplicate-heavy, or degenerate-deep
--- on the one process pool.  The 1k mixed-corpus differential below is
-the PR-3 satellite contract; the rest pins the engine's mechanics
-(deterministic chunking, dedup, store stat accounting).
+Corpus hashing used to fan out over a worker pool when a caller asked
+for ``workers > 1``.  Every batch now runs in-process through
+``ExprStore.hash_corpus`` / ``intern_many``, so this wall pins two
+things.  First, that path is bit-identical to the tree oracle
+(:func:`~repro.core.hashed.alpha_hash_all`) and to per-item hashing
+over any corpus -- random, adversarial, duplicate-heavy or
+degenerate-deep -- at every width the API accepts.  Second, callers
+still passing the retired ``workers`` keyword to :class:`Session` get
+exactly the hashes and ids of a plain session and start no process;
+a ``workers`` request hint is an unknown hint.
 """
 
+import multiprocessing
 import random
 
 import pytest
 
 from repro.api import HashRequest, InternRequest, Session
+from repro.core.arena import HAVE_NUMPY, flatten_corpus
 from repro.core.combiners import HashCombiners
 from repro.core.hashed import alpha_hash_all
 from repro.gen.adversarial import adversarial_pair
 from repro.gen.random_exprs import random_expr
-from repro.lang.expr import App, Lam, Var
-from repro.store import (
-    ExprStore,
-    ShardedExprStore,
-    WorkerPool,
-    parallel_hash_corpus,
-    resolve_workers,
-)
-from repro.store.parallel import _chunk_ranges
+from repro.lang.expr import Lam, Var
+from repro.store import ExprStore, ShardedExprStore
+
+#: The batch kernels every width is checked on.
+KERNELS = ("arena-scalar",) + (("arena-vec",) if HAVE_NUMPY else ())
 
 
 def mixed_corpus(n_items: int, seed: int = 5, size: int = 50):
@@ -54,7 +56,7 @@ def mixed_corpus(n_items: int, seed: int = 5, size: int = 50):
 
 
 class TestDifferential:
-    """The satellite contract: workers=4 == workers=1, bit for bit."""
+    """A retired ``workers`` value never changes a hash."""
 
     @pytest.fixture(scope="class")
     def corpus_1k(self):
@@ -62,42 +64,37 @@ class TestDifferential:
 
     @pytest.fixture(scope="class")
     def serial_hashes(self, corpus_1k):
-        return Session().execute(HashRequest(corpus_1k, workers=1))
+        return Session().execute(HashRequest(corpus_1k))
 
     def test_process_workers_bit_identical(self, corpus_1k, serial_hashes):
-        assert (
-            Session().execute(HashRequest(corpus_1k, workers=4))
-            == serial_hashes
-        )
+        assert Session(workers=4).hash_corpus(corpus_1k) == serial_hashes
+        oracle = [alpha_hash_all(e).root_hash for e in corpus_1k[:200]]
+        assert serial_hashes[:200] == oracle
 
     def test_parallel_runs_are_deterministic(self, corpus_1k):
-        first = parallel_hash_corpus(corpus_1k, workers=3)
-        second = parallel_hash_corpus(corpus_1k, workers=3)
-        assert first == second
+        session = Session()
+        first = session.hash_corpus(corpus_1k)
+        assert session.hash_corpus(corpus_1k) == first
+        assert Session().hash_corpus(corpus_1k) == first
 
     def test_worker_count_never_changes_results(self, corpus_1k, serial_hashes):
-        for workers in (2, 3, 5):
+        for workers in (0, 2, 3, 5):
             assert (
-                parallel_hash_corpus(corpus_1k[:200], workers=workers)
+                Session(workers=workers).hash_corpus(corpus_1k[:200])
                 == serial_hashes[:200]
             )
 
     def test_nondefault_combiners(self):
         corpus = mixed_corpus(60, seed=8)
-        combiners = HashCombiners(bits=32, seed=123)
-        serial = [
-            ExprStore(HashCombiners(bits=32, seed=123)).hash_expr(e)
-            for e in corpus
-        ]
-        assert (
-            parallel_hash_corpus(corpus, combiners=combiners, workers=3)
-            == serial
-        )
+        per_item = ExprStore(HashCombiners(bits=32, seed=123))
+        serial = [per_item.hash_expr(e) for e in corpus]
+        batch = ExprStore(HashCombiners(bits=32, seed=123))
+        assert batch.hash_corpus(corpus) == serial
 
 
 class TestPoolWidths:
-    """The one pool, sessioned and poolless, against the tree oracle at
-    every width the API accepts for corpus work."""
+    """The one batch path against the tree oracle at every width the
+    API accepts for corpus work, on each kernel."""
 
     @pytest.fixture(scope="class")
     def corpus(self):
@@ -107,85 +104,76 @@ class TestPoolWidths:
     def test_pool_matches_alpha_hash_all(self, corpus, bits):
         combiners = HashCombiners(bits=bits)
         oracle = [alpha_hash_all(e, combiners).root_hash for e in corpus]
-        with Session(bits=bits, workers=2) as session:
-            assert session.hash_corpus(corpus) == oracle
-            assert session.stats()["live_pools"] == [2]
-        assert (
-            parallel_hash_corpus(corpus, combiners=combiners, workers=2)
-            == oracle
-        )
+        session = Session(bits=bits, workers=2)
+        assert session.hash_corpus(corpus) == oracle
+        assert "workers" not in session.stats()
+        for engine in KERNELS:
+            store = ExprStore(HashCombiners(bits=bits))
+            assert store.hash_corpus(corpus, engine=engine) == oracle
 
 
 class TestEngineMechanics:
-    def test_chunk_ranges_partition_exactly(self):
-        for n_items in (0, 1, 7, 100, 1001):
-            for n_chunks in (1, 3, 8, 200):
-                spans = _chunk_ranges(n_items, n_chunks)
-                covered = [i for a, b in spans for i in range(a, b)]
-                assert covered == list(range(n_items))
-
     def test_dedup_maps_every_position(self):
         """Repeats collapse in the arena; every input position still
         gets its own item's hash."""
         a, b = Var("x"), Var("y")
         ha, hb = ExprStore().hash_corpus([a, b])
-        got = parallel_hash_corpus([a, b, a, a, b], workers=2)
+        got = ExprStore().hash_corpus([a, b, a, a, b])
         assert got == [ha, hb, ha, ha, hb]
 
-    def test_resolve_workers(self):
-        assert resolve_workers(3) == 3
-        assert resolve_workers(None) >= 1
-        assert resolve_workers(0) >= 1
-        with pytest.raises(ValueError):
-            resolve_workers(-1)
-
     def test_invalid_mode_rejected(self):
-        """One pool, no flavours: any ``mode`` is an unknown argument."""
-        with pytest.raises(TypeError):
-            parallel_hash_corpus([Var("x")], workers=2, mode="thread")
-        with pytest.raises(TypeError):
-            WorkerPool(2, "spawn")
+        """The retired fan-out hints are unknown request hints."""
+        for hint in ("mode", "workers"):
+            for request in (HashRequest, InternRequest):
+                with pytest.raises(TypeError, match="unknown request hint"):
+                    request([Var("x")], **{hint: 2})
 
     def test_workers_one_uses_store_serially(self):
-        store = ExprStore()
+        session = Session(workers=1)
         corpus = mixed_corpus(20)
-        result = parallel_hash_corpus(corpus, workers=1, store=store)
-        assert result == ExprStore().hash_corpus(corpus)
-        assert store.stats.hashed_nodes > 0
+        assert session.hash_corpus(corpus) == ExprStore().hash_corpus(corpus)
+        assert session.store.stats.hashed_nodes > 0
 
     def test_warm_store_answers_locally(self):
         store = ExprStore()
         corpus = mixed_corpus(30)
         store.hash_corpus(corpus)
         hashed_before = store.stats.hashed_nodes
-        result = parallel_hash_corpus(corpus, workers=4, store=store)
+        result = store.hash_corpus(corpus)
         assert result == ExprStore().hash_corpus(corpus)
-        # every unique object was memoised: nothing left to fan out
+        # every corpus root was cached: nothing left to hash
         assert store.stats.hashed_nodes == hashed_before
 
     def test_worker_counters_fold_into_store(self):
+        """The arena work is counted in the store: one hashed node per
+        unique arena node, the flatten-dedup savings as skipped."""
         store = ExprStore()
         corpus = mixed_corpus(40)
-        parallel_hash_corpus(corpus, workers=3, store=store)
-        # the delegated hashing work is visible in the parent's stats
-        assert store.stats.hashed_nodes > 0
+        store.hash_corpus(corpus)
+        arena, _roots = flatten_corpus(corpus)
+        assert store.stats.hashed_nodes == len(arena)
+        walked = sum(expr.size for expr in corpus)
+        assert store.stats.memo_skipped_nodes == walked - len(arena)
 
     def test_deep_corpus_depth_5000(self):
-        """Workers attach the arena, never the trees, so degenerate
-        depth parallelises (pickling a tree would recurse)."""
+        """Degenerate depth runs through the iterative flatten and
+        kernels, on both kernels, against the tree oracle."""
         deep = Var("x")
         for i in range(5000):
             deep = Lam(f"x{i}", deep)
         corpus = [deep] + mixed_corpus(10)
-        assert parallel_hash_corpus(corpus, workers=2) == ExprStore(
-        ).hash_corpus(corpus)
+        oracle = [alpha_hash_all(e).root_hash for e in corpus]
+        for engine in KERNELS:
+            assert ExprStore().hash_corpus(corpus, engine=engine) == oracle
 
 
 class TestSessionIntegration:
     def test_session_configured_workers(self):
+        """``workers`` is accepted and ignored: it is not config."""
         corpus = mixed_corpus(60)
         serial = Session().hash_corpus(corpus)
         session = Session(workers=3)
+        assert not hasattr(session.config, "workers")
         assert session.hash_corpus(corpus) == serial
 
     def test_session_sharded_store_with_workers(self):
@@ -202,16 +190,15 @@ class TestSessionIntegration:
     def test_session_intern_many_workers_matches_serial_classes(self):
         corpus = mixed_corpus(80)
         serial_ids = Session().intern_many(corpus)
-        par_ids = Session(num_shards=4).execute(
-            InternRequest(corpus, workers=3)
-        )
-        assert [par_ids.index(i) for i in par_ids] == [
+        sharded_ids = Session(num_shards=4, workers=3).intern_many(corpus)
+        assert [sharded_ids.index(i) for i in sharded_ids] == [
             serial_ids.index(i) for i in serial_ids
         ]
 
     def test_non_store_backend_stays_serial_and_correct(self):
         corpus = mixed_corpus(20)
         session = Session(backend="debruijn", workers=4)
+        assert session.plan(HashRequest(corpus)).executor == "serial"
         assert session.hash_corpus(corpus) == Session(
             backend="debruijn"
         ).hash_corpus(corpus)
@@ -233,22 +220,25 @@ class TestSessionIntegration:
             Session(parallel_mode="process")
 
     def test_session_workers_intern_many_matches_serial(self):
-        """Interning always runs serially: a ``workers=2`` session gets
-        the very same ids, and the same classes, as a serial one."""
+        """A ``workers=2`` session gets the very same ids as a plain
+        one, and starts no child process."""
         corpus = mixed_corpus(80)
         serial_ids = Session().intern_many(corpus)
-        with Session(workers=2) as session:
-            assert session.intern_many(corpus) == serial_ids
-            assert session.stats()["live_pools"] == []
+        children = set(multiprocessing.active_children())
+        session = Session(workers=2)
+        assert session.intern_many(corpus) == serial_ids
+        session.hash_corpus(corpus)
+        assert set(multiprocessing.active_children()) <= children
 
 
 class TestAppleToAppleAdversarial:
     def test_adversarial_pairs_stay_distinct_in_parallel(self):
-        """Near-colliding pairs must come back distinct and identical to
-        the serial path (the engine must not perturb hashing)."""
+        """Near-colliding pairs must come back distinct, and identical
+        to per-item hashing (batching must not perturb hashing)."""
         pairs = [adversarial_pair(120, seed=s) for s in range(20)]
         corpus = [e for pair in pairs for e in pair]
-        hashes = parallel_hash_corpus(corpus, workers=4)
-        assert hashes == ExprStore().hash_corpus(corpus)
+        hashes = Session(workers=4).hash_corpus(corpus)
+        store = ExprStore()
+        assert hashes == [store.hash_expr(e) for e in corpus]
         for left, right in zip(hashes[::2], hashes[1::2]):
             assert left != right

@@ -2,7 +2,7 @@
 
 The contract under test: the ``HashRequest`` -> ``ExecutionPlan`` ->
 execute path is bit-identical to ``alpha_hash_all`` across arena
-kernels (scalar/vec) and executors (serial/pool), ``engine="auto"``
+kernels (scalar/vec) and executors (serial/async), ``engine="auto"``
 picks the kernel at the one measured crossover, and third-party
 backends register through the ``repro.backends`` entry-point group.
 """
@@ -13,6 +13,7 @@ import pytest
 
 from repro.api import (
     BACKENDS,
+    EXECUTORS,
     AsyncExecutor,
     ExecutionPlan,
     HashRequest,
@@ -61,10 +62,9 @@ class TestRequests:
     def test_request_rejects_bad_hints(self, corpus):
         with pytest.raises(ValueError, match="engine"):
             HashRequest(corpus, engine="warp")
-        with pytest.raises(TypeError, match="unknown request hint"):
-            HashRequest(corpus, mode="thread")
-        with pytest.raises(ValueError, match="workers"):
-            HashRequest(corpus, workers=-1)
+        for retired in ("mode", "workers"):
+            with pytest.raises(TypeError, match="unknown request hint"):
+                HashRequest(corpus, **{retired: 2})
         with pytest.raises(TypeError, match="unknown request hint"):
             HashRequest(corpus, warp_factor=9)
         with pytest.raises(TypeError, match="expressions"):
@@ -72,9 +72,8 @@ class TestRequests:
 
     def test_hints_view(self, corpus):
         assert HashRequest(corpus).hints() == {}
-        assert HashRequest(corpus, engine="arena-scalar", workers=2).hints() == {
+        assert HashRequest(corpus, engine="arena-scalar").hints() == {
             "engine": "arena-scalar",
-            "workers": 2,
         }
 
     def test_intern_request_kind(self, corpus):
@@ -122,30 +121,34 @@ class TestPlanner:
             Planner(arena_threshold=1)
 
     def test_plan_is_concrete_and_inspectable(self, corpus):
-        plan = Session(workers=3).plan(HashRequest(corpus))
+        plan = Session().plan(HashRequest(corpus))
         assert isinstance(plan, ExecutionPlan)
         assert plan.engine == "arena" and plan.kernel in ("vec", "scalar")
-        assert plan.executor == "pool" and plan.workers == 3
+        assert plan.executor == "serial"
         assert plan.corpus_items == len(corpus)
         text = plan.explain()
-        assert "engine=" in text and "workers=3" in text
+        assert "engine=" in text and "executor=serial" in text
         as_dict = plan.as_dict()
-        assert as_dict["executor"] == "pool"
+        assert as_dict["executor"] == "serial"
+        assert "workers" not in as_dict
         assert isinstance(as_dict["reasons"], list) or isinstance(
             as_dict["reasons"], tuple
         )
 
     def test_workers_hint_overrides_session_default(self, corpus):
-        session = Session(workers=4)
-        assert session.plan(HashRequest(corpus, workers=1)).executor == "serial"
-        assert session.plan(HashRequest(corpus)).workers == 4
+        """Neither a request nor a session carries a pool size any more:
+        the retired session keyword leaves the plan unchanged."""
+        with pytest.raises(TypeError, match="unknown request hint"):
+            HashRequest(corpus, workers=1)
+        request = HashRequest(corpus)
+        assert Session(workers=4).plan(request) == Session().plan(request)
 
     def test_single_item_stays_serial(self):
-        plan = Session(workers=4).plan(HashRequest([parse("a b")]))
-        assert plan.executor == "serial" and plan.workers == 1
+        plan = Session().plan(HashRequest([parse("a b")]))
+        assert plan.executor == "serial" and plan.corpus_items == 1
 
     def test_non_store_backend_stays_serial(self, corpus):
-        plan = Session(backend="debruijn", workers=4).plan(HashRequest(corpus))
+        plan = Session(backend="debruijn").plan(HashRequest(corpus))
         assert plan.executor == "serial"
         assert not plan.store_backed
         assert any("its own pass" in r for r in plan.reasons)
@@ -160,10 +163,10 @@ class TestPlanner:
             session.plan(HashRequest(corpus, seed=123))
 
     def test_intern_plans_run_serially(self, corpus):
-        plan = Session(workers=3).plan(InternRequest(corpus))
-        assert plan.executor == "serial" and plan.workers == 1
-        assert any("intern runs serially" in r for r in plan.reasons)
+        plan = Session().plan(InternRequest(corpus))
+        assert plan.executor == "serial" and plan.store_backed
         assert "mode" not in plan.as_dict()
+        assert "workers" not in plan.as_dict()
 
     def test_intern_needs_store(self, corpus):
         with pytest.raises(PlanError, match="use_store"):
@@ -190,13 +193,17 @@ class TestExecuteBitIdentity:
 
     @pytest.mark.parametrize("engine", ["auto", "arena-scalar", "arena-vec"])
     def test_pool_executor(self, corpus, expected, engine):
+        """The pool executor is gone: a session passed the retired
+        ``workers`` keyword plans and runs serially, bit-identically."""
         if engine == "arena-vec" and not HAVE_NUMPY:
             pytest.skip("NumPy not importable")
-        with Session() as session:
-            request = HashRequest(corpus, engine=engine, workers=2)
-            plan = session.plan(request)
-            assert plan.executor == "pool"
-            assert session.execute(request, plan=plan) == expected
+        session = Session(workers=2)
+        request = HashRequest(corpus, engine=engine)
+        plan = session.plan(request)
+        assert plan.executor == "serial"
+        assert session.execute(request, plan=plan) == expected
+        with pytest.raises(KeyError, match="unknown executor"):
+            get_executor("pool")
 
     def test_async_executor_runs_the_plan(self, corpus, expected):
         session = Session()
@@ -217,7 +224,7 @@ class TestExecuteBitIdentity:
 
     def test_executor_registry(self):
         assert get_executor("serial") is get_executor("serial")
-        assert get_executor("pool").name == "pool"
+        assert sorted(EXECUTORS) == ["async", "serial"]
         assert get_executor("async") is not get_executor("async")  # stateful
         with pytest.raises(KeyError, match="unknown executor"):
             get_executor("warp")
@@ -225,8 +232,8 @@ class TestExecuteBitIdentity:
 
 class TestLegacyKwargShim:
     """The per-call ``workers=`` / ``mode=`` / ``engine=`` kwargs of
-    ``Session.hash_corpus`` / ``intern_many`` are gone: hints ride on a
-    request passed to ``execute``."""
+    ``Session.hash_corpus`` / ``intern_many`` are gone: the engine hint
+    rides on a request passed to ``execute``."""
 
     def test_hash_corpus_kwargs_are_rejected(self, corpus, expected):
         session = Session()
@@ -238,8 +245,6 @@ class TestLegacyKwargShim:
             session.hash_corpus(corpus, mode="thread")
         request = HashRequest(corpus, engine="arena-scalar")
         assert session.execute(request) == expected
-        with Session() as pooled:
-            assert pooled.execute(HashRequest(corpus, workers=2)) == expected
 
     def test_intern_many_kwargs_are_rejected(self, corpus):
         reference = Session().intern_many(corpus)

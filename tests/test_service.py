@@ -189,15 +189,6 @@ class TestShardedServer:
 
 
 class TestServerHardening:
-    def test_workers_hint_is_clamped(self, client, corpus):
-        """A remote client must not be able to fork unbounded workers."""
-        from repro.core.cpus import available_cpus
-
-        _hashes, plan = client.hash_corpus(
-            corpus, workers=5000, with_plan=True
-        )
-        assert plan["workers"] <= available_cpus()
-
     def test_keep_alive_survives_an_unread_error_body(self, server):
         """An error reply sent before the body was read must not leave
         stale bytes on a persistent connection."""

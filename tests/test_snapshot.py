@@ -343,10 +343,12 @@ class TestRetiredEngineSnapshots:
     """Snapshots saved by ``Session(engine="tree")`` (or ``"arena"``)
     before those names were retired must keep loading, as ``auto``; so
     must snapshots whose config still names a pool flavour
-    (``parallel_mode``), which is ignored."""
+    (``parallel_mode``) or a pool size (``workers``), both ignored."""
 
     @staticmethod
-    def _legacy_meta(engine: str, parallel_mode: str = "process") -> dict:
+    def _legacy_meta(
+        engine: str, parallel_mode: str = "process", workers: int = 1
+    ) -> dict:
         # Byte-for-byte the meta block Session.save wrote for such a
         # session: the backend name plus the asdict() of its config.
         return {
@@ -358,7 +360,7 @@ class TestRetiredEngineSnapshots:
                 "use_store": True,
                 "max_entries": None,
                 "memo_limit": None,
-                "workers": 1,
+                "workers": workers,
                 "parallel_mode": parallel_mode,
                 "num_shards": None,
                 "engine": engine,
@@ -386,16 +388,16 @@ class TestRetiredEngineSnapshots:
         data = snapshot_to_bytes(store, meta=self._legacy_meta(engine))
         assert Session.from_snapshot_bytes(data).config.engine == "auto"
 
-    @pytest.mark.parametrize(
-        "parallel_mode", ["process", "thread", "spawn", "fork"]
-    )
-    def test_saved_parallel_mode_is_ignored(self, tmp_path, parallel_mode):
+    @staticmethod
+    def _assert_every_load_path_ignores(tmp_path, meta, retired_key):
+        """Load ``meta`` through ``Session.load``, ``from_snapshot_bytes``
+        and a journal checkpoint: same ids and hashes each time, and
+        ``retired_key`` is not config any more."""
         from repro.store import Journal, snapshot_to_bytes
 
         corpus = [random_expr(30, seed=i) for i in range(8)]
         store = ExprStore()
         ids = store.intern_many(corpus)
-        meta = self._legacy_meta("auto", parallel_mode)
         expected = [alpha_hash_all(e).root_hash for e in corpus]
 
         path = str(tmp_path / "legacy.snap")
@@ -415,6 +417,19 @@ class TestRetiredEngineSnapshots:
             Session.from_snapshot_bytes(data),
             Session.from_snapshot_bytes(checkpoint),
         ):
-            assert not hasattr(loaded.config, "parallel_mode")
+            assert not hasattr(loaded.config, retired_key)
+            assert retired_key not in loaded.stats()
             assert loaded.intern_many(corpus) == ids
             assert loaded.hash_corpus(corpus) == expected
+
+    @pytest.mark.parametrize(
+        "parallel_mode", ["process", "thread", "spawn", "fork"]
+    )
+    def test_saved_parallel_mode_is_ignored(self, tmp_path, parallel_mode):
+        meta = self._legacy_meta("auto", parallel_mode)
+        self._assert_every_load_path_ignores(tmp_path, meta, "parallel_mode")
+
+    @pytest.mark.parametrize("workers", [0, 1, 4])
+    def test_saved_workers_is_ignored(self, tmp_path, workers):
+        meta = self._legacy_meta("auto", workers=workers)
+        self._assert_every_load_path_ignores(tmp_path, meta, "workers")
