@@ -196,6 +196,7 @@ def _resolve_flat(
     stats = store.stats
     entries = store._entries
     by_hash = store._by_hash
+    admit = store._admit
     class_id = [0] * len(op)
 
     for i in range(len(op)):
@@ -236,18 +237,19 @@ def _resolve_flat(
         node_id = store._next_id
         store._next_id += 1
         store.version += 1
-        entries[node_id] = StoreEntry(
-            node_id=node_id,
-            hash=top,
-            kind=_KIND_OF_OP[opc],
-            size=sizes[i],
-            children=kid_ids,
-            expr=canonical,
-            version=store.version,
+        admit(
+            StoreEntry(
+                node_id=node_id,
+                hash=top,
+                kind=_KIND_OF_OP[opc],
+                size=sizes[i],
+                children=kid_ids,
+                expr=canonical,
+                version=store.version,
+            )
         )
         for kid in kid_ids:
             entries[kid].refcount += 1
-        by_hash[top] = node_id
         stats.misses += 1
         class_id[i] = node_id
 
@@ -315,8 +317,10 @@ def _resolve_sharded(
         with shard.lock:
             node_id = shard.next_local * num_shards + shard.index
             shard.next_local += 1
-            store.version += 1
-            shard.entries[node_id] = StoreEntry(
+            shard.stats.misses += 1
+        store.version += 1
+        store._admit(
+            StoreEntry(
                 node_id=node_id,
                 hash=top,
                 kind=_KIND_OF_OP[opc],
@@ -325,9 +329,8 @@ def _resolve_sharded(
                 expr=canonical,
                 version=store.version,
             )
-            shard.by_hash[top] = node_id
-            shard.stats.misses += 1
-            stats.misses += 1
+        )
+        stats.misses += 1
         # Child refcounts live in other shards: one lock at a time.
         for kid in kid_ids:
             kid_shard = store._shard_of_id(kid)

@@ -5,8 +5,11 @@ frames, each frame holding one incremental snapshot delta
 (:func:`repro.store.delta_to_bytes`).  A server that appends the delta
 of every intern batch *before acknowledging it* can be SIGKILLed at any
 instant and recover its exact pre-crash store by replaying the journal
-on boot -- the ``repro-store-delta-v1`` version stamps give every frame
-a natural, gap-checked position in the store's history.
+on boot -- the delta version stamps give every frame a natural,
+gap-checked position in the store's history.  Frames are written as
+``repro-store-delta-v2`` (content fields only, found through the
+store's version index, so an append costs O(batch) rather than
+O(store)); journals written as ``repro-store-delta-v1`` still replay.
 
 Directory layout::
 

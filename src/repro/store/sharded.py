@@ -153,8 +153,22 @@ class ShardedExprStore(ExprStore):
             shard.entries.move_to_end(node_id)
             return entry
 
-    def _get_entry(self, node_id: int) -> StoreEntry:
-        return self._shard_of_id(node_id).entries[node_id]
+    def _get_entry(self, node_id: int) -> Optional[StoreEntry]:
+        return self._shard_of_id(node_id).entries.get(node_id)
+
+    def _admit(self, entry: StoreEntry) -> None:
+        """The flat store's admit, under the owning shard's lock; the
+        version index is store-global, kept under the memo lock every
+        writer already holds."""
+        node_id = entry.node_id
+        shard = self._shard_of_id(node_id)
+        with shard.lock:
+            shard.entries[node_id] = entry
+            shard.by_hash[entry.hash] = node_id
+            shard.next_local = max(
+                shard.next_local, node_id // self.num_shards + 1
+            )
+        self._index_version(entry)
 
     def lookup_hash(self, hash_value: int) -> Optional[int]:
         return self._shard_of_hash(hash_value).by_hash.get(hash_value)
@@ -281,14 +295,17 @@ class ShardedExprStore(ExprStore):
                 self.stats.hits += 1
                 return existing
 
-            canonical = self._canonical_expr(node, kid_ids)
             node_id = shard.next_local * self.num_shards + shard.index
             shard.next_local += 1
-            # The store-global version stamp is safe here: every intern
-            # walk runs under the store's re-entrant memo lock, so
-            # _intern_one calls are serialised across threads.
-            self.version += 1
-            entry = StoreEntry(
+            shard.stats.misses += 1
+
+        # The store-global version stamp is safe here: every intern
+        # walk runs under the store's re-entrant memo lock, so
+        # _intern_one calls are serialised across threads.
+        self.version += 1
+        canonical = self._canonical_expr(node, kid_ids)
+        self._admit(
+            StoreEntry(
                 node_id=node_id,
                 hash=rec.top,
                 kind=node.kind,
@@ -297,10 +314,8 @@ class ShardedExprStore(ExprStore):
                 expr=canonical,
                 version=self.version,
             )
-            shard.entries[node_id] = entry
-            shard.by_hash[rec.top] = node_id
-            shard.stats.misses += 1
-            self.stats.misses += 1
+        )
+        self.stats.misses += 1
 
         # Child refcounts live in other shards: bump them after releasing
         # this shard's lock (one lock at a time, never two).
@@ -369,6 +384,7 @@ class ShardedExprStore(ExprStore):
                     rec = self._memo.get(id(victim_entry.expr))
                     if rec is not None:
                         rec.node_id = None
+        self._bound_version_index()
 
     # -- merging ---------------------------------------------------------------
     #

@@ -87,7 +87,13 @@ __all__ = [
 
 SNAPSHOT_FORMAT = "repro-store-snapshot-v1"
 SHARDED_SNAPSHOT_FORMAT = "repro-store-snapshot-v2-sharded"
-DELTA_FORMAT = "repro-store-delta-v1"
+DELTA_FORMAT = "repro-store-delta-v2"
+#: Every delta format :func:`apply_delta_bytes` reads: v1 records also
+#: carry the memo summary (``s``/``v``/``m``), which is ignored.
+_DELTA_FORMATS = (DELTA_FORMAT, "repro-store-delta-v1")
+#: The fields of a delta record -- the ones :func:`content_checksum`
+#: covers: id, hash, kind, size, children, payload, version stamp.
+_CONTENT_FIELDS = ("i", "h", "k", "z", "c", "p", "t")
 
 _LIT_TAGS = {"int": int, "float": float, "bool": bool, "str": str}
 
@@ -141,8 +147,9 @@ def _node_payload(node: Expr) -> Any:
     return None
 
 
-def _entry_record(entry, rec) -> dict:
-    """One entry + its memoised summary as a plain JSON-ready dict."""
+def _entry_record(entry) -> dict:
+    """One entry's content fields (:data:`_CONTENT_FIELDS`) as a plain
+    JSON-ready dict: a delta record."""
     return {
         "i": entry.node_id,
         "h": entry.hash,
@@ -150,21 +157,25 @@ def _entry_record(entry, rec) -> dict:
         "z": entry.size,
         "c": list(entry.children),
         "p": _node_payload(entry.expr),
-        "s": rec.s_hash,
-        "v": rec.vm_hash,
-        "m": rec.vm_entries,
         "t": entry.version,
     }
 
 
+def _snapshot_record(entry, rec) -> dict:
+    """A delta record plus the entry's memoised summary: a snapshot
+    record, which restores a warm memo."""
+    record = _entry_record(entry)
+    record.update(s=rec.s_hash, v=rec.vm_hash, m=rec.vm_entries)
+    return record
+
+
+#: Compact, key-sorted JSON: every header, record and checksum line.
+_encode_json = json.JSONEncoder(separators=(",", ":"), sort_keys=True).encode
+
+
 def _encode_records(records: list[dict]) -> bytes:
     """JSON-lines encode one run of entry records."""
-    return (
-        "".join(
-            json.dumps(rec, separators=(",", ":"), sort_keys=True) + "\n"
-            for rec in records
-        )
-    ).encode("utf-8")
+    return "".join(_encode_json(rec) + "\n" for rec in records).encode("utf-8")
 
 
 class _MemoBackfill:
@@ -231,7 +242,7 @@ def _flat_snapshot_to_bytes(
     entries = list(store.entries())  # LRU order, oldest first
     with _MemoBackfill(store, entries) as backfill:
         records = [
-            _entry_record(entry, store._memo[id(entry.expr)])
+            _snapshot_record(entry, store._memo[id(entry.expr)])
             for entry in entries
         ]
     body = _encode_records(records)
@@ -249,9 +260,7 @@ def _flat_snapshot_to_bytes(
         "meta": meta or {},
         "checksum": _checksum(body),
     }
-    header_bytes = json.dumps(
-        header, separators=(",", ":"), sort_keys=True
-    ).encode("utf-8")
+    header_bytes = _encode_json(header).encode("utf-8")
     return header_bytes + b"\n" + body
 
 
@@ -276,7 +285,7 @@ def _sharded_snapshot_to_bytes(
         with _MemoBackfill(store, all_entries) as backfill:
             shard_records = [
                 [
-                    _entry_record(entry, store._memo[id(entry.expr)])
+                    _snapshot_record(entry, store._memo[id(entry.expr)])
                     for entry in entries
                 ]
                 for entries in shard_entries
@@ -316,9 +325,7 @@ def _sharded_snapshot_to_bytes(
         "meta": meta or {},
         "checksum": _checksum(body),
     }
-    header_bytes = json.dumps(
-        header, separators=(",", ":"), sort_keys=True
-    ).encode("utf-8")
+    header_bytes = _encode_json(header).encode("utf-8")
     return header_bytes + b"\n" + body
 
 
@@ -345,11 +352,7 @@ def content_checksum(store: "ExprStore") -> str:
             _node_payload(entry.expr),
             entry.version,
         ]
-        digest.update(
-            json.dumps(
-                record, separators=(",", ":"), sort_keys=True
-            ).encode("utf-8")
-        )
+        digest.update(_encode_json(record).encode("utf-8"))
         digest.update(b"\n")
     return f"sha256:{digest.hexdigest()}"
 
@@ -427,9 +430,11 @@ def _build_exprs(records: list[dict], resolve_base=None) -> dict[int, Expr]:
     ``resolve_base`` (delta application) resolves child ids that are not
     among ``records`` themselves -- they then refer to canonical entries
     the receiving store already holds; ``None`` from the resolver is a
-    malformed/inapplicable delta and fails loudly.
+    malformed/inapplicable delta and fails loudly.  So does a document
+    that repeats a node id or an alpha-hash: each names one class.
     """
     exprs: dict[int, Expr] = {}
+    hashes: set[int] = set()
 
     def _kid(c: int) -> Expr:
         # The receiving store's canonical child object wins over a copy
@@ -449,6 +454,12 @@ def _build_exprs(records: list[dict], resolve_base=None) -> dict[int, Expr]:
         return node
 
     for rec in sorted(records, key=lambda r: (r["z"], r["i"])):
+        if rec["i"] in exprs or rec["h"] in hashes:
+            raise SnapshotError(
+                f"malformed snapshot entry: node id {rec['i']} or alpha-hash "
+                f"{rec['h']} appears twice in one document"
+            )
+        hashes.add(rec["h"])
         kind, payload = rec["k"], rec["p"]
         kids = [_kid(c) for c in rec["c"]]
         if kind == "Var":
@@ -498,18 +509,17 @@ def _flat_snapshot_from_bytes(
 
         # File order is LRU order: inserting in it restores recency.
         for rec in records:
-            node_id = rec["i"]
-            entry = StoreEntry(
-                node_id=node_id,
-                hash=rec["h"],
-                kind=rec["k"],
-                size=rec["z"],
-                children=tuple(rec["c"]),
-                expr=exprs[node_id],
-                version=rec.get("t", 0),
+            store._admit(
+                StoreEntry(
+                    node_id=rec["i"],
+                    hash=rec["h"],
+                    kind=rec["k"],
+                    size=rec["z"],
+                    children=tuple(rec["c"]),
+                    expr=exprs[rec["i"]],
+                    version=rec.get("t", 0),
+                )
             )
-            store._entries[node_id] = entry
-            store._by_hash[entry.hash] = node_id
         for entry in store._entries.values():
             for kid in entry.children:
                 store._entries[kid].refcount += 1
@@ -622,17 +632,17 @@ def _sharded_snapshot_from_bytes(
                         f"node id {node_id} landed in shard section "
                         f"{shard.index} (ids encode their shard)"
                     )
-                entry = StoreEntry(
-                    node_id=node_id,
-                    hash=rec["h"],
-                    kind=rec["k"],
-                    size=rec["z"],
-                    children=tuple(rec["c"]),
-                    expr=exprs[node_id],
-                    version=rec.get("t", 0),
+                store._admit(
+                    StoreEntry(
+                        node_id=node_id,
+                        hash=rec["h"],
+                        kind=rec["k"],
+                        size=rec["z"],
+                        children=tuple(rec["c"]),
+                        expr=exprs[node_id],
+                        version=rec.get("t", 0),
+                    )
                 )
-                shard.entries[node_id] = entry
-                shard.by_hash[entry.hash] = node_id
             shard.next_local = meta_entry.get(
                 "next_local", len(shard.entries)
             )
@@ -675,22 +685,34 @@ def read_snapshot(path: str) -> tuple["ExprStore", dict]:
 # -- incremental snapshot deltas -----------------------------------------------
 #
 # A delta is the journal of canonical entries interned since a version
-# stamp: the same header-line + JSON-lines layout as a full snapshot
-# (entry schema unchanged, ``t`` is each entry's creation stamp), but
-# the body holds only the live entries with ``version > since`` and the
-# header records the ``(since, version]`` window it covers::
+# stamp: the same header-line + JSON-lines layout as a full snapshot,
+# but the body holds only the live entries with ``version > since``, in
+# version order, and the header records the ``(since, version]`` window
+# it covers::
 #
-#     {"format": "repro-store-delta-v1", "bits": .., "seed": ..,
+#     {"format": "repro-store-delta-v2", "bits": .., "seed": ..,
 #      "since": S, "version": V, "num_shards": null | K,
 #      "entries": N, "meta": {..}, "checksum": "sha256:..."}
+#     {"c": [..], "h": .., "i": .., "k": "App", "p": null, "t": .., "z": ..}
+#
+# A v2 record carries exactly the content fields (``_CONTENT_FIELDS``,
+# what ``content_checksum`` covers) and no memo summary: the memo is
+# keyed by object identity, so a receiver never hits it from the
+# network anyway, and leaving it out keeps emission free of any
+# re-summarising.  ``repro-store-delta-v1`` documents (the same plus
+# ``s``/``v``/``m``) are still read; their summaries are ignored.  A
+# v1-only reader rejects a v2 document loudly, so a rolling upgrade
+# upgrades followers before primaries.
 #
 # Deltas assume a shared id space: the receiver started from a full
 # snapshot of the same store (node ids are preserved by both the v1 and
 # v2 layouts), so child ids that predate ``since`` resolve against the
 # receiver's own table.  That makes replica catch-up O(new entries)
-# instead of O(store) -- the whole point.  Application is idempotent:
-# entries the receiver already holds are verified (same hash/kind/size)
-# and skipped, so overlapping deltas are safe to replay.
+# instead of O(store) -- the whole point -- and emission is O(window)
+# too: the store's version index finds the window by bisection.
+# Application is idempotent: entries the receiver already holds are
+# verified (same hash/kind/size) and skipped, so overlapping deltas are
+# safe to replay.
 
 
 # lint: returns-lock ShardedExprStore._memo_lock
@@ -726,7 +748,8 @@ def delta_to_bytes(
     every shipped entry are guaranteed resolvable on a receiver at
     version >= ``since``: a child either rides in the delta (fresh) or
     was live at ``since`` (pinned by its parent's refcount ever since),
-    hence present in the receiver's baseline.
+    hence present in the receiver's baseline.  The cost follows the
+    window, not the store, and the store is left untouched.
     """
     with _memo_lock_of(store):
         if since < 0 or since > store.version:
@@ -734,15 +757,7 @@ def delta_to_bytes(
                 f"delta since={since} is outside this store's history "
                 f"(version {store.version})"
             )
-        fresh = sorted(
-            (e for e in store.entries() if e.version > since),
-            key=lambda e: e.version,
-        )
-        with _MemoBackfill(store, fresh):
-            records = [
-                _entry_record(entry, store._memo[id(entry.expr)])
-                for entry in fresh
-            ]
+        records = [_entry_record(entry) for entry in store._entries_since(since)]
         body = _encode_records(records)
         header = {
             "format": DELTA_FORMAT,
@@ -755,27 +770,26 @@ def delta_to_bytes(
             "meta": meta or {},
             "checksum": _checksum(body),
         }
-    header_bytes = json.dumps(
-        header, separators=(",", ":"), sort_keys=True
-    ).encode("utf-8")
-    return header_bytes + b"\n" + body
+    return _encode_json(header).encode("utf-8") + b"\n" + body
 
 
 def apply_delta_bytes(store: "ExprStore", data: bytes) -> dict:
-    """Apply a :func:`delta_to_bytes` document to ``store``; return
-    ``{"applied": .., "skipped": .., "version": ..}``.
+    """Apply a :func:`delta_to_bytes` document (v2, or v1) to ``store``;
+    return ``{"applied": .., "skipped": .., "version": ..}``.
 
     ``store`` must share the delta's combiner family, store shape
     (``num_shards``) and id space (it was restored from a snapshot of
     the emitting store), and must have reached the delta's ``since``
     stamp -- a gap means missing entries and fails loudly.  Entries the
-    store already holds are verified and skipped (idempotent replay);
-    truncated, tampered or schema-breaching documents raise
-    :class:`SnapshotError` without partial application of the broken
-    record's subtree.
+    store already holds are verified and skipped (idempotent replay).
+    All-or-nothing: a truncated, tampered or schema-breaching document,
+    one that names a node id or an alpha-hash twice, or a record that
+    disagrees with the store (an id holding another class, a hash owned
+    by another live id) raises :class:`SnapshotError` before the first
+    store write.  Applied entries leave the summary memo cold.
     """
     from repro.store.sharded import ShardedExprStore
-    from repro.store.store import StoreEntry, _MemoRecord
+    from repro.store.store import StoreEntry
 
     newline = data.find(b"\n")
     if newline < 0:
@@ -786,9 +800,9 @@ def apply_delta_bytes(store: "ExprStore", data: bytes) -> dict:
         header = json.loads(header_line)
     except json.JSONDecodeError as exc:
         raise SnapshotError(f"unreadable delta header: {exc}") from None
-    if not isinstance(header, dict) or header.get("format") != DELTA_FORMAT:
+    if not isinstance(header, dict) or header.get("format") not in _DELTA_FORMATS:
         raise SnapshotError(
-            f"not a {DELTA_FORMAT} document: {header_line[:80]!r}"
+            f"not a {' / '.join(_DELTA_FORMATS)} document: {header_line[:80]!r}"
         )
     if header.get("checksum") != _checksum(body):
         raise SnapshotError("delta body does not match header checksum")
@@ -829,36 +843,34 @@ def apply_delta_bytes(store: "ExprStore", data: bytes) -> dict:
         records = _parse_records(body, header["entries"])
         sharded = isinstance(store, ShardedExprStore)
 
-        def _existing(node_id: int) -> Optional[StoreEntry]:
-            if sharded:
-                return store._shard_of_id(node_id).entries.get(node_id)
-            return store._entries.get(node_id)
-
         def _resolve_base(node_id: int) -> Optional[Expr]:
-            entry = _existing(node_id)
+            entry = store._get_entry(node_id)
             return None if entry is None else entry.expr
 
         applied = skipped = 0
         try:
             exprs = _build_exprs(records, resolve_base=_resolve_base)
-            # All-or-nothing: every mutation-loop failure mode is
-            # checked *before* the first store write, so a breaching
-            # delta (schema hole, entry disagreeing with the store)
-            # leaves the store untouched instead of half-applied --
-            # journal replay interrupted partway must never strand a
-            # prefix of one frame.
+            # All-or-nothing: every failure mode is checked *before*
+            # the first store write, so a breaching delta leaves the
+            # store untouched instead of half-applied -- journal replay
+            # interrupted partway must never strand a prefix of one
+            # frame.
             for rec in records:
-                missing = [
-                    key
-                    for key in ("i", "h", "k", "z", "c", "t", "s", "v", "m")
-                    if key not in rec
-                ]
+                missing = [key for key in _CONTENT_FIELDS if key not in rec]
                 if missing:
                     raise SnapshotError(
                         f"delta entry is missing field(s) {missing}: "
                         f"{rec!r}"
                     )
-                present = _existing(rec["i"])
+                if not all(
+                    isinstance(rec[key], int) for key in ("i", "h", "z", "t")
+                ):
+                    raise SnapshotError(
+                        f"delta entry has a non-integer id, hash, size or "
+                        f"version: {rec!r}"
+                    )
+                present = store._get_entry(rec["i"])
+                owner = store.lookup_hash(rec["h"])
                 if present is not None and (
                     present.hash != rec["h"]
                     or present.kind != rec["k"]
@@ -870,21 +882,16 @@ def apply_delta_bytes(store: "ExprStore", data: bytes) -> dict:
                         "mismatch): the receiver does not mirror the "
                         "emitting store"
                     )
+                if owner is not None and owner != rec["i"]:
+                    raise SnapshotError(
+                        f"delta entry {rec['i']} carries alpha-hash "
+                        f"0x{rec['h']:x}, which the store's live entry "
+                        f"{owner} already owns: the receiver does not "
+                        "mirror the emitting store"
+                    )
             for rec in sorted(records, key=lambda r: (r["z"], r["i"])):
                 node_id = rec["i"]
-                present = _existing(node_id)
-                if present is not None:
-                    if (
-                        present.hash != rec["h"]
-                        or present.kind != rec["k"]
-                        or present.size != rec["z"]
-                    ):
-                        raise SnapshotError(
-                            f"delta entry {node_id} disagrees with the "
-                            f"store's existing entry (hash/kind/size "
-                            "mismatch): the receiver does not mirror the "
-                            "emitting store"
-                        )
+                if store._get_entry(node_id) is not None:
                     skipped += 1
                     continue
                 entry = StoreEntry(
@@ -896,38 +903,14 @@ def apply_delta_bytes(store: "ExprStore", data: bytes) -> dict:
                     expr=exprs[node_id],
                     version=rec["t"],
                 )
+                store._admit(entry)
+                for kid in entry.children:
+                    store._get_entry(kid).refcount += 1
                 if sharded:
                     shard = store._shard_of_id(node_id)
                     with shard.lock:
-                        shard.entries[node_id] = entry
-                        shard.by_hash[entry.hash] = node_id
-                        shard.next_local = max(
-                            shard.next_local,
-                            node_id // store.num_shards + 1,
-                        )
                         shard.stats.misses += 1
-                else:
-                    store._entries[node_id] = entry
-                    store._by_hash[entry.hash] = node_id
-                    store._next_id = max(store._next_id, node_id + 1)
                 store.stats.misses += 1
-                for kid in entry.children:
-                    kid_entry = _existing(kid)
-                    kid_entry.refcount += 1
-                # Warm the memo like the full-snapshot loaders, but only
-                # when every canonical child is still covered (a record
-                # must imply full-subtree coverage, and the receiver may
-                # have flushed its memo since the baseline load).
-                node = exprs[node_id]
-                if id(node) not in store._memo and all(
-                    id(_existing(kid).expr) in store._memo
-                    for kid in entry.children
-                ):
-                    memo_rec = _MemoRecord(
-                        node, rec["s"], dict(rec["m"]), rec["v"], rec["h"]
-                    )
-                    memo_rec.node_id = node_id
-                    store._memo[id(node)] = memo_rec
                 applied += 1
         except SnapshotError:
             raise

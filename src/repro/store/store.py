@@ -54,6 +54,7 @@ in-memory state and do not survive snapshots.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
@@ -139,7 +140,8 @@ class StoreEntry:
     store's monotonic intern stamp at creation time: entry ``version``
     values are unique and strictly increasing in creation order, which
     is what incremental snapshot deltas
-    (:func:`repro.store.snapshot.delta_to_bytes`) select on.
+    (:func:`repro.store.snapshot.delta_to_bytes`) select on, through the
+    store's version index.
     """
 
     node_id: int
@@ -224,9 +226,19 @@ class ExprStore:
         #: Monotonic intern stamp: +1 per canonical entry ever created
         #: (never reused, never decremented -- evictions leave gaps).
         #: ``delta_to_bytes(store, since)`` ships exactly the live
-        #: entries with ``entry.version > since``; replicas track the
+        #: entries with ``entry.version > since`` as a summary-free
+        #: ``repro-store-delta-v2`` document; replicas track the
         #: primary's counter through snapshots and deltas.
         self.version = 0
+        #: The version index: ``(entry.version, node_id)`` of every
+        #: admitted entry as two parallel lists, so the entries after a
+        #: stamp are a bisect plus a tail walk (``_entries`` is in LRU
+        #: order, not creation order).  Evicted ids stay until
+        #: :meth:`_compact_versions`; loaders and delta application
+        #: admit out of version order and clear ``_versions_sorted``.
+        self._versions: list[int] = []
+        self._version_ids: list[int] = []
+        self._versions_sorted = True
 
     # -- queries ---------------------------------------------------------------
 
@@ -568,19 +580,19 @@ class ExprStore:
         node_id = self._next_id
         self._next_id += 1
         self.version += 1
-        entry = StoreEntry(
-            node_id=node_id,
-            hash=rec.top,
-            kind=node.kind,
-            size=node.size,
-            children=kid_ids,
-            expr=canonical,
-            version=self.version,
-        )
         for kid in kid_ids:
             self._entries[kid].refcount += 1
-        self._entries[node_id] = entry
-        self._by_hash[rec.top] = node_id
+        self._admit(
+            StoreEntry(
+                node_id=node_id,
+                hash=rec.top,
+                kind=node.kind,
+                size=node.size,
+                children=kid_ids,
+                expr=canonical,
+                version=self.version,
+            )
+        )
         self.stats.misses += 1
         # The canonical tree is made of canonical subtrees, so hashing it
         # later can be a pure memo hit: seed its summary from this one.
@@ -618,9 +630,73 @@ class ExprStore:
             mapping[entry.node_id] = self.intern(entry.expr)
         return mapping
 
-    def _get_entry(self, node_id: int) -> StoreEntry:
-        """Entry lookup without LRU side effects (overridable storage hook)."""
-        return self._entries[node_id]
+    def _get_entry(self, node_id: int) -> Optional[StoreEntry]:
+        """Entry lookup without LRU side effects, ``None`` if not live
+        (overridable storage hook)."""
+        return self._entries.get(node_id)
+
+    def _admit(self, entry: StoreEntry) -> None:
+        """Insert a new live entry: the table, its hash key, the id
+        high-water mark and the version index.
+
+        Every canonical entry enters through here -- interning, bulk
+        interning, both snapshot loaders and delta application.  Child
+        refcounts and hit/miss counters stay with the callers.
+        """
+        self._entries[entry.node_id] = entry
+        self._by_hash[entry.hash] = entry.node_id
+        self._next_id = max(self._next_id, entry.node_id + 1)
+        self._index_version(entry)
+
+    def _index_version(self, entry: StoreEntry) -> None:
+        versions = self._versions
+        if versions and entry.version <= versions[-1]:
+            self._versions_sorted = False
+        versions.append(entry.version)
+        self._version_ids.append(entry.node_id)
+
+    def _entries_since(self, since: int) -> list[StoreEntry]:
+        """The live entries with ``version > since``, in version order.
+
+        A bisect into the version index plus a walk of its tail: the
+        cost follows the window, not the store.  A slot whose id was
+        evicted (or re-admitted under another stamp) is skipped.
+        """
+        if not self._versions_sorted:
+            self._compact_versions()
+        start = bisect_right(self._versions, since)
+        fresh = []
+        for version, node_id in zip(
+            self._versions[start:], self._version_ids[start:]
+        ):
+            entry = self._get_entry(node_id)
+            if entry is not None and entry.version == version:
+                fresh.append(entry)
+        return fresh
+
+    def _compact_versions(self) -> None:
+        """Rebuild the version index from its live slots, sorted and
+        without repeats (an entry evicted on a replica can be
+        re-admitted by an overlapping delta).  Stamps are unique, so
+        keying by stamp drops the repeats; only stamp-0 entries (from
+        snapshots older than stamps) collapse, and no delta ships them.
+        """
+        live = {
+            version: node_id
+            for version, node_id in zip(self._versions, self._version_ids)
+            if (entry := self._get_entry(node_id)) is not None
+            and entry.version == version
+        }
+        self._versions = sorted(live)
+        self._version_ids = [live[version] for version in self._versions]
+        self._versions_sorted = True
+
+    def _bound_version_index(self) -> None:
+        """Called after each eviction pass: compact once evicted slots
+        outnumber live ones, so an LRU store's index stays within 2x
+        its live entries."""
+        if len(self._version_ids) > 2 * len(self):
+            self._compact_versions()
 
     def _canonical_expr(self, node: Expr, kid_ids: tuple[int, ...]) -> Expr:
         if isinstance(node, (Var, Lit)):
@@ -661,3 +737,4 @@ class ExprStore:
             if rec is not None:
                 rec.node_id = None
             self.stats.evictions += 1
+        self._bound_version_index()

@@ -7,8 +7,12 @@ hashes, same ids -- while being idempotent under replay and loud about
 truncation, tampering and mismatched stores.
 """
 
+import copy
+import hashlib
 import json
+import os
 import random
+import shutil
 
 import pytest
 
@@ -17,13 +21,18 @@ from repro.gen.random_exprs import random_expr
 from repro.store import (
     DELTA_FORMAT,
     ExprStore,
+    Journal,
     ShardedExprStore,
     SnapshotError,
     apply_delta_bytes,
+    content_checksum,
     delta_to_bytes,
     snapshot_from_bytes,
     snapshot_to_bytes,
 )
+
+FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures", "delta_v1")
+CONTENT_FIELDS = {"i", "h", "k", "z", "c", "p", "t"}
 
 
 def corpus(n, seed=29, size=30):
@@ -41,6 +50,43 @@ def make_store(layout: str):
 def entry_map(store):
     return {e.node_id: (e.hash, e.kind, e.size, e.children)
             for e in store.entries()}
+
+
+def delta_records(data):
+    return [json.loads(line) for line in data.partition(b"\n")[2].splitlines()]
+
+
+def reseal(data, records):
+    """A delta document with ``records`` as its body and a valid
+    header (entry count, checksum): only record validation can object."""
+    header = json.loads(data.partition(b"\n")[0])
+    body = b"".join(
+        json.dumps(r, separators=(",", ":"), sort_keys=True).encode() + b"\n"
+        for r in records
+    )
+    header["entries"] = len(records)
+    header["checksum"] = "sha256:" + hashlib.sha256(body).hexdigest()
+    return json.dumps(header, separators=(",", ":"), sort_keys=True).encode() + (
+        b"\n" + body
+    )
+
+
+def scan_reference(store, since):
+    """What a delta window must hold, by a full scan of the store."""
+    fresh = sorted(
+        (e for e in store.entries() if e.version > since),
+        key=lambda e: e.version,
+    )
+    return [
+        [e.node_id, e.hash, e.kind, e.size, list(e.children), e.version]
+        for e in fresh
+    ]
+
+
+def content_of(records):
+    return [
+        [r["i"], r["h"], r["k"], r["z"], r["c"], r["t"]] for r in records
+    ]
 
 
 @pytest.fixture(params=["flat", "sharded"])
@@ -293,3 +339,199 @@ class TestDeltaAccounting:
         assert header["format"] == DELTA_FORMAT
         assert header["since"] == 0
         assert header["version"] == store.version
+
+
+class TestVersionIndex:
+    """Emission walks the store's version index: the cost follows the
+    window, and the records match a full scan of the store."""
+
+    def test_small_window_touches_only_the_window(self, layout, monkeypatch):
+        store = make_store(layout)
+        rng = random.Random(41)
+        while len(store) < 20_000:
+            store.intern_many(
+                [random_expr(60, rng=rng, p_let=0.2, p_lit=0.2) for _ in range(50)]
+            )
+        since = store.version - 10
+        reference = scan_reference(store, since)
+        stats_before = copy.copy(store.stats)
+        memo_before = len(store._memo)
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("delta emission must not scan or re-hash")
+
+        monkeypatch.setattr(store, "entries", refuse)
+        monkeypatch.setattr(store, "_hash_tree", refuse)
+        records = delta_records(delta_to_bytes(store, since))
+        monkeypatch.undo()
+
+        assert len(records) == 10
+        assert all(set(r) == CONTENT_FIELDS for r in records)
+        assert content_of(records) == reference
+        assert store.stats == stats_before
+        assert len(store._memo) == memo_before
+
+    def test_windows_match_scan_reference(self, layout):
+        store = make_store(layout)
+        for expr in corpus(30, seed=43):
+            store.intern(expr)
+        store.intern_many(corpus(30, seed=44))
+        for since in (0, 1, store.version // 3, store.version - 1, store.version):
+            records = delta_records(delta_to_bytes(store, since))
+            assert content_of(records) == scan_reference(store, since)
+
+    def test_lru_eviction_keeps_index_bounded(self, layout):
+        combiners = HashCombiners(bits=64, seed=7)
+        store = (
+            ShardedExprStore(combiners, num_shards=4, max_entries=120)
+            if layout == "sharded"
+            else ExprStore(combiners, max_entries=120)
+        )
+        for round_ in range(25):
+            since = store.version
+            batch = corpus(6, seed=100 + round_)
+            if round_ % 2:
+                store.intern_many(batch)
+            else:
+                for expr in batch:
+                    store.intern(expr)
+            assert len(store._version_ids) <= 2 * len(store)
+            delta = delta_to_bytes(store, since)
+            assert content_of(delta_records(delta)) == scan_reference(store, since)
+        assert store.stats.evictions > len(store)
+        assert content_of(
+            delta_records(delta_to_bytes(store, 0))
+        ) == scan_reference(store, 0)
+
+    def test_readmitted_entry_is_emitted_once(self, layout):
+        # An LRU replica evicts classes on its own interns; an
+        # overlapping delta then re-admits them under their original
+        # stamps, out of version order.
+        primary = make_store(layout)
+        primary.intern_many(corpus(10, seed=51))
+        combiners = HashCombiners(bits=64, seed=7)
+        replica = (
+            ShardedExprStore(combiners, num_shards=4, max_entries=60)
+            if layout == "sharded"
+            else ExprStore(combiners, max_entries=60)
+        )
+        apply_delta_bytes(replica, delta_to_bytes(primary, 0))
+        replica.intern_many(corpus(10, seed=52))
+        assert replica.stats.evictions > 0
+        report = apply_delta_bytes(replica, delta_to_bytes(primary, 0))
+        assert report["applied"] > 0
+        records = delta_records(delta_to_bytes(replica, 0))
+        assert content_of(records) == scan_reference(replica, 0)
+        assert len({r["i"] for r in records}) == len(records) == len(replica)
+
+    def test_promoted_replica_emits_correct_deltas(self, layout):
+        primary = make_store(layout)
+        primary.intern_many(corpus(12, seed=61))
+        replica, _ = snapshot_from_bytes(snapshot_to_bytes(primary))
+        seeded_at = replica.version
+        standby, _ = snapshot_from_bytes(snapshot_to_bytes(primary))
+        for wave in range(3):
+            primary.intern_many(corpus(8, seed=62 + wave))
+            # Overlapping windows: every catch-up restarts at the seed.
+            apply_delta_bytes(replica, delta_to_bytes(primary, seeded_at))
+        assert content_checksum(replica) == content_checksum(primary)
+        # The primary is gone: the replica takes writes and ships them.
+        promoted_at = replica.version
+        replica.intern_many(corpus(8, seed=70))
+        for since in (0, seeded_at, promoted_at):
+            records = delta_records(delta_to_bytes(replica, since))
+            assert content_of(records) == scan_reference(replica, since)
+        apply_delta_bytes(standby, delta_to_bytes(replica, seeded_at))
+        assert content_checksum(standby) == content_checksum(replica)
+
+
+class TestAllOrNothing:
+    """A delta that contradicts itself or the receiving store is
+    refused before the first write."""
+
+    def test_repeated_id_with_another_hash(self, layout):
+        store = make_store(layout)
+        store.intern_many(corpus(8, seed=81))
+        delta = delta_to_bytes(store, 0)
+        records = delta_records(delta)
+        twin = dict(records[len(records) // 2], h=records[-1]["h"] ^ 1)
+        target = make_store(layout)
+        before = content_checksum(target)
+        with pytest.raises(SnapshotError, match="appears twice"):
+            apply_delta_bytes(target, reseal(delta, records + [twin]))
+        assert content_checksum(target) == before
+        assert target.version == 0 and len(target) == 0
+
+    def test_existing_hash_under_a_new_id(self, layout):
+        store = make_store(layout)
+        store.intern_many(corpus(8, seed=82))
+        replica, _ = snapshot_from_bytes(snapshot_to_bytes(store))
+        delta = delta_to_bytes(store, 0)
+        victim = delta_records(delta)[-1]
+        impostor = dict(victim, i=999)
+        before = content_checksum(replica)
+        with pytest.raises(SnapshotError, match="already owns"):
+            apply_delta_bytes(replica, reseal(delta, [impostor]))
+        assert content_checksum(replica) == before
+        assert replica.lookup_hash(victim["h"]) == victim["i"]
+        assert 999 not in replica
+
+    def test_non_integer_stamp(self, layout):
+        store = make_store(layout)
+        store.intern_many(corpus(8, seed=84))
+        delta = delta_to_bytes(store, 0)
+        records = delta_records(delta)
+        records[-1]["t"] = str(records[-1]["t"])
+        target = make_store(layout)
+        with pytest.raises(SnapshotError, match="non-integer"):
+            apply_delta_bytes(target, reseal(delta, records))
+        assert len(target) == 0 and target.version == 0
+
+    def test_snapshot_with_repeated_record_rejected(self):
+        store = make_store("flat")
+        store.intern_many(corpus(4, seed=83))
+        head, _, body = snapshot_to_bytes(store).partition(b"\n")
+        lines = body.splitlines(keepends=True)
+        body = b"".join(lines + lines[:1])
+        header = json.loads(head)
+        header["entries"] += 1
+        header["checksum"] = "sha256:" + hashlib.sha256(body).hexdigest()
+        data = json.dumps(header).encode() + b"\n" + body
+        with pytest.raises(SnapshotError, match="appears twice"):
+            snapshot_from_bytes(data)
+
+
+class TestV1Compatibility:
+    """Journals and deltas written as ``repro-store-delta-v1`` (with
+    memo summaries) still replay to the recorded content."""
+
+    @pytest.fixture
+    def expected(self, layout):
+        with open(os.path.join(FIXTURES, "expected.json")) as handle:
+            return json.load(handle)[layout]
+
+    def test_v1_delta_applies(self, layout, expected):
+        with open(os.path.join(FIXTURES, f"{layout}.delta"), "rb") as handle:
+            data = handle.read()
+        assert json.loads(data.partition(b"\n")[0])["format"] == (
+            "repro-store-delta-v1"
+        )
+        store = make_store(layout)
+        report = apply_delta_bytes(store, data)
+        assert report["applied"] == expected["entries"]
+        assert store.version == expected["version"]
+        assert content_checksum(store) == expected["content_checksum"]
+        # Re-emitted as v2, the same content reaches a fresh store.
+        again = make_store(layout)
+        apply_delta_bytes(again, delta_to_bytes(store, 0))
+        assert content_checksum(again) == expected["content_checksum"]
+
+    def test_v1_journal_replays(self, layout, expected, tmp_path):
+        directory = str(tmp_path / "wal")
+        shutil.copytree(os.path.join(FIXTURES, f"journal-{layout}"), directory)
+        store = make_store(layout)
+        report = Journal(directory, fsync=False).replay(store)
+        assert report["segments"] == expected["segments"]
+        assert report["truncated_bytes"] == 0
+        assert store.version == expected["version"]
+        assert content_checksum(store) == expected["content_checksum"]
