@@ -169,18 +169,27 @@ class StreamSession:
         # shared store cannot evict them mid-stream.
         self.plan: Optional["ExecutionPlan"] = None
         hints = dict(hints or {})
+        self.root_hashes: list[int] = []
+        ids: list[int] = []
         if self._corpus:
             request = HashRequest(self._corpus, **hints)
             self.plan = session.plan(request)
-            self.root_hashes: list[int] = session.execute(request, plan=self.plan)
-        else:
-            self.root_hashes = []
+            if self.intern_classes and self.plan.store_backed:
+                # One arena compile yields the root hashes and is then
+                # interned as it is.
+                batch = self.store.compile_corpus(
+                    self._corpus, engine=f"arena-{self.plan.kernel}"
+                )
+                self.root_hashes = batch.hashes
+                ids = self.store.intern_many(batch)
+            else:
+                self.root_hashes = session.execute(request, plan=self.plan)
+                if self.intern_classes:
+                    ids = session.execute(InternRequest(self._corpus, **hints))
         self.corpus_nodes = sum(item.size for item in self._corpus)
         self.root_ids: list[Optional[int]] = [None] * len(self._corpus)
-        if self.intern_classes and self._corpus:
-            ids = session.execute(InternRequest(self._corpus, **hints))
-            for index, (item, node_id) in enumerate(zip(self._corpus, ids)):
-                self.root_ids[index] = self._pin_class(item, node_id)
+        for index, (item, node_id) in enumerate(zip(self._corpus, ids)):
+            self.root_ids[index] = self._pin_class(item, node_id)
         self._seen_hashes.update(self.root_hashes)
 
     # -- pinning ---------------------------------------------------------------

@@ -398,27 +398,30 @@ def _session_report(session, args, exprs) -> int:
 
     # CLI knobs lower into declarative requests -- the planner resolves
     # them against the session exactly like library callers' requests.
-    hashes = session.execute(HashRequest(exprs, engine=args.engine))
+    hashes = None
     missing = 0
     known_flags: list[bool] = []
     if session.store is not None:
         # Presence is decided on the canonical (store) alpha-hash, not
         # the selected backend's hash -- the intern table is keyed by the
-        # former, and the two differ for non-default backends.  All flags
-        # are computed before any interning, so a later duplicate of a
-        # missing class still reports it as missing.  For the store-backed
-        # default backend the corpus hashes above already *are* canonical
-        # -- reuse them instead of re-hashing the corpus.
-        if session.backend.store_backed:
-            canonical = hashes
-        else:
-            canonical = session.store.hash_corpus(exprs, engine=args.engine)
+        # former, and the two differ for non-default backends.  One
+        # compile yields the canonical hashes, every flag is computed
+        # from them before any interning (so a later duplicate of a
+        # missing class still reports it as missing), and the same
+        # batch is then interned without compiling again.
+        plan = session.plan(InternRequest(exprs, engine=args.engine))
+        batch = session.store.compile_corpus(
+            exprs, engine=f"arena-{plan.kernel}"
+        )
+        canonical = batch.hashes
         known_flags = [
             session.store.lookup_hash(value) is not None for value in canonical
         ]
-        # One bulk intern (after the flags above), not one walk per
-        # file: it reuses the arena compile the hash pass above cached.
-        node_ids = session.execute(InternRequest(exprs, engine=args.engine))
+        node_ids = session.store.intern_many(batch)
+        if session.backend.store_backed:
+            hashes = canonical
+    if hashes is None:
+        hashes = session.execute(HashRequest(exprs, engine=args.engine))
     for index, (path, expr, value) in enumerate(
         zip(args.files, exprs, hashes)
     ):

@@ -394,13 +394,14 @@ class _Handler(BaseHTTPRequestHandler):
         if store is None:
             raise _RequestError(409, "this server runs without a store")
         with service.lock:
-            # One arena compile serves both passes: hash_corpus stashes
-            # it and the intern below reuses it.  Hashing first also
-            # means the reply's canonical hashes never depend on an
-            # entry-bounded store keeping early roots live to the end
-            # of the batch.
+            # One arena compile serves both passes: its hashes come
+            # first (ownership is decided before anything is written,
+            # and the reply's hashes never depend on an entry-bounded
+            # store keeping early roots live), then the same batch is
+            # interned.
             plan = service.session.plan(request)
-            hashes = store.hash_corpus(corpus, engine=f"arena-{plan.kernel}")
+            batch = store.compile_corpus(corpus, engine=f"arena-{plan.kernel}")
+            hashes = batch.hashes
             if service.shard_count is not None:
                 # Cluster node: refuse foreign keys *before* anything
                 # lands in the intern table.
@@ -419,7 +420,7 @@ class _Handler(BaseHTTPRequestHandler):
                         f"belongs to shard "
                         f"{hashes[first] % service.shard_count}",
                     )
-            ids = service.session.execute(request, plan=plan)
+            ids = store.intern_many(batch)
             # Write-ahead durability: the batch's delta frame reaches
             # the journal (fsync'd) *before* this 200 is sent -- an
             # acked intern survives SIGKILL.  An append failure (disk
@@ -717,12 +718,21 @@ class ReproServer:
         #: by ``journal_commit``, written to disk outside the lock by
         #: ``flush_checkpoint``.  # guarded-by: lock
         self._pending_checkpoint: Optional[tuple[bytes, int]] = None
+        if journal is not None:
+            store = self.session.store
+            if store is None:
+                raise ValueError("a journal needs a store-backed session")
+            if store.max_entries is not None:
+                raise ValueError(
+                    "a journal needs an eviction-free store (max_entries "
+                    f"is {store.max_entries}): journal frames carry no "
+                    "evictions, so replay after an evicted class is "
+                    "re-created would fail"
+                )
         self.journal: Optional[Journal] = (
             Journal(journal) if isinstance(journal, str) else journal
         )
         if self.journal is not None:
-            if self.session.store is None:
-                raise ValueError("a journal needs a store-backed session")
             #: Crash recovery happens before the listener exists: a
             #: request can never observe a half-replayed store.
             self.replay_report = self.journal.replay(self.session.store)

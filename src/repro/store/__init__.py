@@ -6,7 +6,7 @@ hashed e-summaries so repeated and overlapping corpus expressions are
 hashed once.  See :mod:`repro.store.store` for the design notes.
 """
 
-from repro.store.arena_intern import hash_corpus_arena, intern_corpus_arena
+from repro.store.arena_intern import ArenaBatch, compile_batch
 from repro.store.sharded import DEFAULT_NUM_SHARDS, ShardedExprStore
 from repro.store.journal import Journal, JournalError
 from repro.store.snapshot import (
@@ -49,6 +49,6 @@ __all__ = [
     "content_checksum",
     "Journal",
     "JournalError",
-    "hash_corpus_arena",
-    "intern_corpus_arena",
+    "ArenaBatch",
+    "compile_batch",
 ]

@@ -1,47 +1,46 @@
 """Arena-backed batch paths of the expression store.
 
-Two entry points, invoked from :class:`~repro.store.ExprStore`'s batch
-verbs (``hash_corpus`` / ``intern_many``) for every corpus; ``kernel``
-is the ``"vec"`` / ``"scalar"`` choice
-:func:`repro.core.arena.choose_kernel` made for the corpus size:
+A corpus is compiled once into an :class:`ArenaBatch`: the corpus
+flattened into one :class:`~repro.core.arena.ExprArena` (duplicates
+collapse at flatten time), the arena row of every item's root, and the
+kernel's per-node top hashes.  The batch is a value the caller holds;
+the store keeps no table of it, so once a batch verb returns the store
+can reach nothing the call received.  ``kernel`` is the ``"vec"`` /
+``"scalar"`` choice :func:`repro.core.arena.choose_kernel` made for the
+corpus size.
 
-* :func:`hash_corpus_arena` -- batch hashing.  Items the store already
-  knows (per-object summary memo, or the arena root cache from an
-  earlier batch) are answered locally; the rest are compiled into one
-  :class:`~repro.core.arena.ExprArena` and hashed by the array kernel.
-  Hashes are bit-identical to the memo path; what changes is the cache
-  discipline -- the arena path does **not** snapshot a per-object memo
-  record for every interior node (that one-dict-copy-per-node cost is
-  precisely what it avoids).  Instead each corpus *root* lands in the
-  store's arena root cache, so re-hashing the same corpus objects is
-  O(1) per item, while ``hash_expr``/``hashes`` on interior subtrees
-  walk the per-object summary memo as before.
+* :func:`compile_batch` -- flatten plus kernel.  A pure function of the
+  corpus and the combiner family; :meth:`ExprStore.compile_corpus
+  <repro.store.ExprStore.compile_corpus>` wraps it and counts the work
+  in ``store.stats``.  ``batch.hashes`` are the root alpha-hashes,
+  bit-identical to the memoised per-item path.  ``hash_corpus`` first
+  answers the items the per-object summary memo already knows (a
+  snapshot-loaded or ``hash_expr``-warmed store) and compiles the rest.
 
-* :func:`intern_corpus_arena` -- bulk interning.  The corpus is
-  compiled once, hashed once, and then every *unique* arena node is
+* :func:`intern_batch` -- bulk interning.  Every *unique* arena row is
   resolved against the intern table directly: duplicates never reach
   ``_hash_tree``, and a class interned by an earlier batch costs one
-  dict probe.  Canonical entries, hashes, ids and refcounts come out
-  exactly as per-item ``intern`` would produce for the same arrival order;
-  the summary memo is left cold (see above), and ``hits``/``misses``
-  count unique arena nodes rather than subtree occurrences.  Flat
-  stores take a direct-dict hot loop; sharded stores take a
-  lock-striped branch (writers are already serialised by the store's
-  memo lock, but every table mutation still happens under the owning
-  shard's lock so concurrent readers never see a torn table).
-  LRU-bounded stores enforce their bound once at the end of the batch
-  -- mid-batch eviction could invalidate the arena's child-class
-  links -- so the table may transiently exceed ``max_entries``.
-
-Both paths fold their work into ``store.stats`` so delegated hashing
-stays visible: ``hashed_nodes`` counts unique arena nodes summarised,
-``memo_skipped_nodes`` counts the nodes flatten-dedup avoided.
+  dict probe.  Canonical entries are built fresh from the rows, and
+  hashes, ids and refcounts come out exactly as per-item ``intern``
+  would produce for the same arrival order; the summary memo is not
+  touched, and ``hits``/``misses`` count unique arena nodes rather than
+  subtree occurrences.  A caller that needs the hashes before it writes
+  (the shard node's ownership check, ``repro session``'s ``known``
+  flags, a stream session's root hashes) compiles once and interns that
+  batch, so one flatten and one kernel pass serve both.  Flat stores
+  take a direct-dict hot loop; sharded stores take a lock-striped
+  branch (writers are already serialised by the store's memo lock, but
+  every table mutation still happens under the owning shard's lock so
+  concurrent readers never see a torn table).  LRU-bounded stores
+  enforce their bound once at the end of the batch -- mid-batch
+  eviction could invalidate the arena's child-class links -- so the
+  table may transiently exceed ``max_entries``.
 """
 
 from __future__ import annotations
 
-import contextlib
-from typing import TYPE_CHECKING, Optional, Sequence
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Sequence
 
 from repro.core.arena import (
     OP_APP,
@@ -49,122 +48,50 @@ from repro.core.arena import (
     OP_LET,
     OP_LIT,
     OP_VAR,
+    ExprArena,
     arena_hash_any,
     flatten_corpus,
 )
+from repro.core.combiners import HashCombiners
 from repro.lang.expr import App, Expr, Lam, Let, Lit, Var
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.store.store import ExprStore
 
-__all__ = ["hash_corpus_arena", "intern_corpus_arena"]
+__all__ = ["ArenaBatch", "compile_batch", "intern_batch"]
 
 _KIND_OF_OP = ("Var", "Lit", "Lam", "App", "Let")
 
 
-def hash_corpus_arena(
-    store: Optional["ExprStore"],
-    corpus: Sequence[Expr],
-    combiners=None,
-    kernel: str = "scalar",
-) -> list[int]:
-    """Root alpha-hashes of ``corpus`` through the arena kernel.
+@dataclass(frozen=True, eq=False)
+class ArenaBatch:
+    """One compiled corpus: its arena, each item's root row, and the
+    top hash of every row under ``combiners``."""
 
-    ``store`` may be ``None`` (pure function mode: no memo consults, no
-    stats; ``combiners`` must then be given).  ``kernel`` picks the
-    vectorized or scalar array kernel.
-    """
-    # Sharded stores guard their memo behind an RLock; every touch of
-    # root_memo / stats / the flush below happens under it (re-entrant,
-    # so arriving via the already-locked ShardedExprStore.hash_corpus
-    # is fine).  The flatten and kernel run outside the lock.
-    lock = getattr(store, "_memo_lock", None) if store is not None else None
-    if lock is None:
-        lock = contextlib.nullcontext()
-    if store is not None:
-        combiners = store.combiners
-        root_memo = store._arena_root_memo
-        stats = store.stats
-    results: list = [None] * len(corpus)
-    pending: list[Expr] = []
-    pending_at: list[int] = []
-    if store is None:
-        pending = list(corpus)
-        pending_at = list(range(len(corpus)))
-    else:
-        with lock:
-            for index, expr in enumerate(corpus):
-                top = store.cached_top(expr)
-                if top is None:
-                    cached = root_memo.get(id(expr))
-                    if cached is not None:
-                        top = cached[1]
-                if top is None:
-                    pending.append(expr)
-                    pending_at.append(index)
-                else:
-                    stats.memo_hits += 1
-                    stats.memo_skipped_nodes += expr.size
-                    results[index] = top
+    arena: ExprArena
+    roots: list[int]
+    tops: list[int]
+    combiners: HashCombiners
 
-    if pending:
-        arena, roots = flatten_corpus(pending)
-        tops = arena_hash_any(arena, combiners, kernel=kernel)
-        if store is None:
-            for root, index in zip(roots, pending_at):
-                results[index] = tops[root]
-        else:
-            with lock:
-                unique_nodes = len(arena)
-                stats.hashed_nodes += unique_nodes
-                walked = sum(expr.size for expr in pending)
-                if walked > unique_nodes:
-                    stats.memo_skipped_nodes += walked - unique_nodes
-                for expr, root, index in zip(pending, roots, pending_at):
-                    top = tops[root]
-                    root_memo[id(expr)] = (expr, top)
-                    results[index] = top
-                if store.memo_limit is None:
-                    # The pass produced per-node tops: stash the
-                    # compile so a following bulk intern of the same
-                    # corpus reuses it (one-shot; the consumer clears
-                    # it).
-                    store._arena_compile_cache = (
-                        arena,
-                        pending,
-                        {id(e): r for e, r in zip(pending, roots)},
-                        tops,
-                    )
-
-    if store is not None:
-        with lock:
-            store._maybe_flush_memo()
-    return results
+    @property
+    def hashes(self) -> list[int]:
+        """Root alpha-hash of every corpus item, in corpus order."""
+        tops = self.tops
+        return [tops[root] for root in self.roots]
 
 
-def intern_corpus_arena(
-    store: "ExprStore", corpus: Sequence[Expr], kernel: str = "scalar"
-) -> list[int]:
-    """Intern ``corpus`` via one arena pass (flat or sharded stores)."""
-    stats = store.stats
-    arena = None
-    cached = store._arena_compile_cache
-    store._arena_compile_cache = None  # one-shot: consumed or dropped
-    if cached is not None:
-        c_arena, _pinned, root_by_id, c_tops = cached
-        cached_roots = [root_by_id.get(id(expr)) for expr in corpus]
-        if all(root is not None for root in cached_roots):
-            # The hash pass just compiled this corpus: reuse its arena
-            # and per-node tops (counted there -- no stats double-add).
-            arena, roots, tops = c_arena, cached_roots, c_tops
-    if arena is None:
-        arena, roots = flatten_corpus(corpus)
-        tops = arena_hash_any(arena, store.combiners, kernel=kernel)
-        stats.hashed_nodes += len(arena)
-        walked = sum(expr.size for expr in corpus)
-        if walked > len(arena):
-            stats.memo_skipped_nodes += walked - len(arena)
+def compile_batch(
+    corpus: Sequence[Expr], combiners: HashCombiners, kernel: str = "scalar"
+) -> ArenaBatch:
+    """Flatten ``corpus`` into one arena and hash every row."""
+    arena, roots = flatten_corpus(corpus)
+    tops = arena_hash_any(arena, combiners, kernel=kernel)
+    return ArenaBatch(arena, roots, tops, combiners)
 
+
+def intern_batch(store: "ExprStore", batch: ArenaBatch) -> list[int]:
+    """Intern a compiled batch (flat or sharded stores); one id per item."""
+    arena, tops = batch.arena, batch.tops
     op = bytes(arena.op)
     left, right = arena.left.tolist(), arena.right.tolist()
     aux, sizes = arena.aux.tolist(), arena.sizes.tolist()
@@ -182,9 +109,8 @@ def intern_corpus_arena(
     # Bounded stores enforce their LRU bound once per batch: evicting
     # mid-loop could drop a class a later arena row links to as a child.
     # Protect the last root, matching the serial path's final state.
-    store._evict_if_needed(protect=class_id[roots[-1]])
-    store._maybe_flush_memo()
-    return [class_id[root] for root in roots]
+    store._evict_if_needed(protect=class_id[batch.roots[-1]])
+    return [class_id[root] for root in batch.roots]
 
 
 def _resolve_flat(

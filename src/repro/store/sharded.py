@@ -208,6 +208,10 @@ class ShardedExprStore(ExprStore):
         with self._memo_lock:
             return super().hashes(expr)
 
+    def compile_corpus(self, exprs, engine: str = "auto"):
+        with self._memo_lock:
+            return super().compile_corpus(exprs, engine=engine)
+
     def hash_corpus(self, exprs, engine: str = "auto") -> list[int]:
         with self._memo_lock:
             return super().hash_corpus(exprs, engine=engine)
@@ -231,9 +235,9 @@ class ShardedExprStore(ExprStore):
     # -- interning -------------------------------------------------------------
 
     # The arena bulk-intern path has a lock-striped write branch for
-    # sharded stores (see repro.store.arena_intern.intern_corpus_arena);
-    # intern_many wraps the whole batch in the memo lock so the arena
-    # walk sees a consistent memo, exactly like serial interning.
+    # sharded stores (see repro.store.arena_intern.intern_batch);
+    # intern_many wraps the whole batch in the memo lock, so batches
+    # and serial interning never write the table at once.
     def intern_many(self, exprs, engine: str = "auto") -> list[int]:
         with self._memo_lock:
             return super().intern_many(exprs, engine=engine)

@@ -22,13 +22,16 @@ alpha-equivalent -- exactly the key a content-addressed store needs.
   hash_expr`, :meth:`~ExprStore.hashes`, :meth:`~ExprStore.intern`) run
   on it; streaming edits and the rewrite apps lean on its warmth.
 
-* **Batch path.**  :meth:`~ExprStore.hash_corpus` and
-  :meth:`~ExprStore.intern_many` compile the whole corpus into one
-  array arena and run the arena kernel (:mod:`repro.store.arena_intern`);
-  ``engine="auto"`` picks the vectorized kernel from
-  :data:`repro.core.arena.VEC_MIN_NODES` corpus nodes up, the scalar
-  kernel below.  A hash pass stashes its compile, so an
-  ``intern_many`` of the same corpus right after it reuses the arena.
+* **Batch path.**  :meth:`~ExprStore.compile_corpus` flattens a whole
+  corpus into one array arena and runs the arena kernel over it
+  (:mod:`repro.store.arena_intern`); ``engine="auto"`` picks the
+  vectorized kernel from :data:`repro.core.arena.VEC_MIN_NODES` corpus
+  nodes up, the scalar kernel below.  The result is an
+  :class:`~repro.store.arena_intern.ArenaBatch` the caller holds:
+  ``batch.hashes`` are the root hashes, and ``intern_many(batch)``
+  interns it without compiling again.  :meth:`~ExprStore.hash_corpus`
+  and :meth:`~ExprStore.intern_many` over plain corpora compile
+  internally.  The store keeps nothing of a batch.
 
 Soundness is the paper's: equal alpha-hash == alpha-equivalent, up to
 hash collisions (Theorem 6.7 bounds these below ~n/2^61 at the default
@@ -69,6 +72,7 @@ from repro.core.structure import svar_hash
 from repro.core.varmap import HashedVarMap
 from repro.lang.expr import App, Expr, Lam, Let, Lit, Var
 from repro.lang.traversal import preorder
+from repro.store.arena_intern import ArenaBatch, compile_batch, intern_batch
 
 __all__ = ["ExprStore", "StoreEntry", "StoreStats", "StoreCollisionError"]
 
@@ -182,7 +186,10 @@ class ExprStore:
     memo_limit:
         Cap on the per-object summary memo (defaults to unbounded in
         eviction-free mode, ``64 * max_entries`` in LRU mode); when
-        exceeded the memo is flushed wholesale.
+        exceeded the memo is flushed wholesale.  Only the single-
+        expression verbs fill the memo; the batch verbs leave it as
+        they found it, so bounded and unbounded stores take one batch
+        path.
     """
 
     def __init__(
@@ -206,16 +213,6 @@ class ExprStore:
         self._lit_cache: dict[tuple[type, object], int] = {}
         #: id(node) -> cached summary; holds a strong ref to the node.
         self._memo: dict[int, _MemoRecord] = {}
-        #: id(root) -> (root, top hash): the arena engine's root cache.
-        #: Cheaper than a full memo record (no varmap snapshot) but only
-        #: answers whole-corpus-item repeats; flushed with the memo.
-        self._arena_root_memo: dict[int, tuple[Expr, int]] = {}
-        #: The last serial arena compile: (arena, corpus objects,
-        #: id(expr) -> root index, per-node tops).  Lets a bulk intern
-        #: that follows a hash pass over the same corpus (the ``repro
-        #: session`` flow) reuse the compile instead of re-flattening
-        #: and re-hashing; replaced wholesale by each hash pass.
-        self._arena_compile_cache: Optional[tuple] = None
         #: node_id -> entry, in LRU order (oldest first).
         self._entries: "OrderedDict[int, StoreEntry]" = OrderedDict()
         #: alpha-hash -> node_id.
@@ -333,10 +330,12 @@ class ExprStore:
         return None if rec is None else rec.top
 
     def clear_memo(self) -> None:
-        """Drop the per-object summary memo (canonical entries survive)."""
+        """Drop the per-object summary memo (canonical entries survive).
+
+        Only the single-expression verbs fill the memo; the batch verbs
+        keep nothing of their input, so there is nothing else to drop.
+        """
         self._memo.clear()
-        self._arena_root_memo.clear()
-        self._arena_compile_cache = None
 
     def prune_memo(self, roots: Iterable[Expr]) -> int:
         """Drop memo records unreachable from ``roots``; return the count.
@@ -347,9 +346,9 @@ class ExprStore:
         earlier rounds are released while everything still in the program
         stays warm.  Reachability is closed over children, which
         preserves the record-implies-full-subtree-coverage invariant the
-        resume-above-cached-roots optimisation relies on.
+        resume-above-cached-roots optimisation relies on.  The batch
+        verbs add no records, so only single-expression work is pruned.
         """
-        self._arena_compile_cache = None  # pins a corpus; prune drops it
         keep: set[int] = set()
         stack = list(roots)
         while stack:
@@ -358,16 +357,11 @@ class ExprStore:
                 continue
             keep.add(id(node))
             stack.extend(node.children())
-        before = len(self._memo) + len(self._arena_root_memo)
+        before = len(self._memo)
         self._memo = {
             key: rec for key, rec in self._memo.items() if key in keep
         }
-        self._arena_root_memo = {
-            key: rec
-            for key, rec in self._arena_root_memo.items()
-            if key in keep
-        }
-        return before - len(self._memo) - len(self._arena_root_memo)
+        return before - len(self._memo)
 
     def resolve_combiners(
         self, combiners: Optional[HashCombiners]
@@ -392,25 +386,51 @@ class ExprStore:
         self._maybe_flush_memo()
         return top
 
-    def hash_corpus(self, exprs: Iterable[Expr], engine: str = "auto") -> list[int]:
-        """Root alpha-hashes of a corpus, compiled into one arena.
+    def compile_corpus(
+        self, exprs: Iterable[Expr], engine: str = "auto"
+    ) -> ArenaBatch:
+        """Flatten a corpus into one arena and hash every unique node.
 
-        Items the store already knows are answered from its caches; the
-        rest are flattened into a post-order array arena and hashed by
-        the arena kernel (bit-identical to :meth:`hash_expr`; no
-        per-node memo warming -- see :mod:`repro.store.arena_intern`).
-        ``engine`` picks the kernel: ``"auto"`` (default) runs the
-        vectorized kernel from :data:`repro.core.arena.VEC_MIN_NODES`
+        Returns the :class:`~repro.store.arena_intern.ArenaBatch` the
+        caller holds: ``batch.hashes`` are the root alpha-hashes
+        (bit-identical to :meth:`hash_expr`), and
+        ``intern_many(batch)`` interns the corpus without compiling it
+        again.  ``engine`` picks the kernel: ``"auto"`` (default) runs
+        the vectorized kernel from :data:`repro.core.arena.VEC_MIN_NODES`
         corpus nodes up when NumPy is importable, the scalar kernel
         below; ``"arena-vec"`` / ``"arena-scalar"`` pin one.
+        ``stats.hashed_nodes`` counts the unique arena nodes and
+        ``memo_skipped_nodes`` the repeats flatten collapsed.
         """
         corpus = exprs if isinstance(exprs, list) else list(exprs)
-        kernel = choose_kernel(engine, sum(expr.size for expr in corpus))
-        if not corpus:
-            return []
-        from repro.store.arena_intern import hash_corpus_arena
+        walked = sum(expr.size for expr in corpus)
+        batch = compile_batch(
+            corpus, self.combiners, choose_kernel(engine, walked)
+        )
+        unique = len(batch.arena)
+        self.stats.hashed_nodes += unique
+        self.stats.memo_skipped_nodes += walked - unique
+        return batch
 
-        return hash_corpus_arena(self, corpus, kernel=kernel)
+    def hash_corpus(self, exprs: Iterable[Expr], engine: str = "auto") -> list[int]:
+        """Root alpha-hashes of a corpus.
+
+        Items the summary memo already knows (the store hashed them
+        through :meth:`hash_expr`, or loaded them from a snapshot) are
+        answered from it; the rest go through one
+        :meth:`compile_corpus`.  ``engine`` is as there.
+        """
+        corpus = exprs if isinstance(exprs, list) else list(exprs)
+        results = [self.cached_top(expr) for expr in corpus]
+        pending = []
+        for expr, top in zip(corpus, results):
+            if top is None:
+                pending.append(expr)
+            else:
+                self.stats.memo_hits += 1
+                self.stats.memo_skipped_nodes += expr.size
+        fresh = iter(self.compile_corpus(pending, engine).hashes)
+        return [next(fresh) if top is None else top for top in results]
 
     def hashes(self, expr: Expr) -> AlphaHashes:
         """An :class:`AlphaHashes` view over ``expr`` computed through the
@@ -468,15 +488,8 @@ class ExprStore:
         record right after hashing.  The memo is a pure cache, so losing
         warmth is the only cost of a flush.
         """
-        if self.memo_limit is not None:
-            if len(self._memo) > self.memo_limit:
-                self._memo.clear()
-            if len(self._arena_root_memo) > self.memo_limit:
-                self._arena_root_memo.clear()
-            # The compile cache pins a whole corpus: a memo-bounded
-            # store gives up the hash->intern reuse to keep its
-            # memory contract.
-            self._arena_compile_cache = None
+        if self.memo_limit is not None and len(self._memo) > self.memo_limit:
+            self._memo.clear()
 
     # -- persistence -----------------------------------------------------------
 
@@ -538,28 +551,31 @@ class ExprStore:
         self._maybe_flush_memo()
         return ids[0]
 
-    def intern_many(self, exprs: Iterable[Expr], engine: str = "auto") -> list[int]:
+    def intern_many(
+        self, exprs: "Iterable[Expr] | ArenaBatch", engine: str = "auto"
+    ) -> list[int]:
         """Batch :meth:`intern`: one id per input, duplicates collapse.
 
-        The corpus is compiled into one arena (or the compile a
-        preceding :meth:`hash_corpus` of the same corpus cached is
-        reused) and every unique subtree class is resolved against the
+        ``exprs`` is a corpus, which is compiled here exactly as
+        :meth:`compile_corpus` would (``engine`` as there), or a batch
+        that :meth:`compile_corpus` already returned, which is interned
+        as it is.  Every unique subtree class is resolved against the
         intern table directly -- same classes, hashes and ids as
         per-item :meth:`intern`, with ``hits``/``misses`` counted per
         unique class instead of per occurrence (see
-        :mod:`repro.store.arena_intern`).  ``engine`` picks the kernel
-        exactly as in :meth:`hash_corpus`.  LRU-bounded stores enforce
+        :mod:`repro.store.arena_intern`).  LRU-bounded stores enforce
         their bound once at the end of the batch (arena child links
         need every class live mid-batch), so the table may transiently
         exceed ``max_entries`` by the batch's unique-class count.
         """
-        corpus = exprs if isinstance(exprs, list) else list(exprs)
-        kernel = choose_kernel(engine, sum(expr.size for expr in corpus))
-        if not corpus:
+        if isinstance(exprs, ArenaBatch):
+            batch = exprs
+            self.resolve_combiners(batch.combiners)
+        else:
+            batch = self.compile_corpus(exprs, engine)
+        if not batch.roots:
             return []
-        from repro.store.arena_intern import intern_corpus_arena
-
-        return intern_corpus_arena(self, corpus, kernel=kernel)
+        return intern_batch(self, batch)
 
     def _intern_one(
         self, node: Expr, rec: _MemoRecord, kid_ids: tuple[int, ...]

@@ -32,7 +32,7 @@ from repro.core.hashed import alpha_hash_all
 from repro.gen.adversarial import adversarial_pair
 from repro.gen.random_exprs import alpha_rename, random_expr
 from repro.lang.expr import App, Expr, Lam, Let, Lit, Var
-from repro.store import ExprStore, ShardedExprStore, hash_corpus_arena
+from repro.store import ExprStore, ShardedExprStore, compile_batch
 
 DEPTH_DEEP = 5000
 
@@ -329,31 +329,59 @@ class TestStoreIntegration:
         for engine in ENGINE_CHOICES_HERE:
             assert ExprStore().hash_corpus(corpus, engine=engine) == ref
 
-    def test_store_arena_root_memo_answers_repeats(self, corpus):
-        store = ExprStore()
-        first = store.hash_corpus(corpus)
-        hits_before = store.stats.memo_hits
-        second = store.hash_corpus(corpus)
-        assert second == first
-        assert store.stats.memo_hits > hits_before
+    def test_store_warm_memo_answers_repeats(self, corpus, tmp_path):
+        """The warm path: a store that hashed the items through
+        ``hash_expr``, or loaded a snapshot of such a store, answers
+        ``hash_corpus`` from its summary memo without hashing a node."""
+        warmed = ExprStore()
+        expected = [warmed.hash_expr(expr) for expr in corpus]
+        source = ExprStore()
+        for expr in corpus:
+            source.intern(expr)
+        path = str(tmp_path / "warm.snap")
+        source.save(path)
+        loaded = ExprStore.load(path)
+        canonical = [loaded.expr_of(loaded.lookup_hash(h)) for h in expected]
+        for store, items in ((warmed, corpus), (loaded, canonical)):
+            hashed_before = store.stats.hashed_nodes
+            hits_before = store.stats.memo_hits
+            assert store.hash_corpus(items) == expected
+            assert store.stats.hashed_nodes == hashed_before
+            assert store.stats.memo_hits == hits_before + len(items)
 
     def test_pure_function_mode(self, corpus):
         combiners = default_combiners()
-        assert (
-            hash_corpus_arena(None, corpus, combiners=combiners)
-            == tree_hashes(corpus, combiners)
+        assert compile_batch(corpus, combiners).hashes == tree_hashes(
+            corpus, combiners
         )
 
     def test_intern_after_hash_reuses_compile(self, corpus):
-        """The repro-session flow: hash_corpus then intern_many of the
-        same corpus must not flatten and hash the arena twice."""
-        store = ExprStore()
-        hashes = store.hash_corpus(corpus)
-        hashed_before = store.stats.hashed_nodes
-        ids = store.intern_many(corpus)
-        assert store.stats.hashed_nodes == hashed_before
-        assert [store.hash_of(i) for i in ids] == hashes
-        assert ids == memo_intern(ExprStore(), corpus)
+        """The repro-session flow: hash, then intern, the same corpus
+        through one explicit batch -- one flatten and one kernel pass,
+        so ``hashed_nodes`` counts the arena once.  Flat, sharded and
+        LRU-bounded stores all take this path."""
+        reference = ExprStore()
+        expected = [
+            reference.hash_of(i) for i in memo_intern(reference, corpus)
+        ]
+        for store in (
+            ExprStore(),
+            ShardedExprStore(num_shards=4),
+            ExprStore(max_entries=64),
+        ):
+            batch = store.compile_corpus(corpus)
+            assert store.stats.hashed_nodes == len(batch.arena)
+            assert batch.hashes == expected
+            ids = store.intern_many(batch)
+            assert store.stats.hashed_nodes == len(batch.arena)
+            assert len(ids) == len(corpus)
+            if store.max_entries is None:
+                assert [store.hash_of(i) for i in ids] == expected
+
+    def test_batch_from_another_family_is_refused(self, corpus):
+        batch = ExprStore(HashCombiners(bits=32)).compile_corpus(corpus)
+        with pytest.raises(ValueError, match="combiners disagree"):
+            ExprStore().intern_many(batch)
 
     def test_intern_many_engines_agree(self, corpus):
         by_item = memo_intern(ExprStore(), corpus)
@@ -463,10 +491,11 @@ class TestSpawnParallel:
         assert Session(workers=2).hash_corpus(corpus) == oracle
 
     def test_persistent_pool_reuse(self, corpus, serial):
-        """One session across batches: the second batch is answered from
-        the arena root cache without hashing a node."""
+        """One session across batches: once its memo knows the items
+        (per-item ``hash``), a batch is answered without hashing a
+        node; a batch alone leaves nothing behind to reuse."""
         session = Session(engine="auto")
-        assert session.hash_corpus(corpus) == serial
+        assert [session.hash(expr) for expr in corpus] == serial
         hashed = session.store.stats.hashed_nodes
         assert session.hash_corpus(corpus) == serial
         assert session.store.stats.hashed_nodes == hashed

@@ -101,10 +101,14 @@ class TestShardIdentity:
             e for e, h in zip(corpus, expected) if h % len(nodes) == 1
         ][:3]
         client = ServiceClient(nodes[0].url, retries=0)
+        store = nodes[0].session.store
+        before = (len(store), store.version)
         with pytest.raises(ServiceError) as excinfo:
             client.intern_many(foreign)
         assert excinfo.value.status == 409
         assert "shard 0/2 does not own" in str(excinfo.value)
+        # refused before anything reached the intern table
+        assert (len(store), store.version) == before
 
     def test_health_carries_shard_identity(self, cluster):
         _coordinator, nodes, _reply = cluster

@@ -439,6 +439,30 @@ class TestStaleCheckpointFlusher:
             server.close()
 
 
+class TestEntryBoundedStoreRefused:
+    """Journal frames carry no evictions, so an LRU store that evicts a
+    class and re-creates it writes a journal replay refuses.  A
+    journaled node therefore refuses an entry-bounded store up front:
+    before the journal is opened or replayed, and before a listener
+    exists."""
+
+    @pytest.mark.parametrize("shards", [None, 4], ids=["flat", "sharded"])
+    def test_node_refuses_max_entries(self, tmp_path, shards):
+        from repro.api import Session
+        from repro.service.server import ReproServer
+
+        directory = tmp_path / "wal"
+        session = Session(max_entries=50, num_shards=shards)
+        with pytest.raises(ValueError, match="eviction-free store"):
+            ReproServer(session=session, port=0, journal=str(directory))
+        with pytest.raises(ValueError, match="max_entries is 50"):
+            ReproServer(
+                port=0, journal=str(directory), max_entries=50,
+                num_shards=shards,
+            )
+        assert not directory.exists()
+
+
 class TestContentChecksum:
     def test_checksum_ignores_recency_and_stats(self):
         a = make_store()

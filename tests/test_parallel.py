@@ -24,7 +24,12 @@ from repro.core.hashed import alpha_hash_all
 from repro.gen.adversarial import adversarial_pair
 from repro.gen.random_exprs import random_expr
 from repro.lang.expr import Lam, Var
-from repro.store import ExprStore, ShardedExprStore
+from repro.store import (
+    ExprStore,
+    ShardedExprStore,
+    snapshot_from_bytes,
+    snapshot_to_bytes,
+)
 
 #: The batch kernels every width is checked on.
 KERNELS = ("arena-scalar",) + (("arena-vec",) if HAVE_NUMPY else ())
@@ -135,14 +140,28 @@ class TestEngineMechanics:
         assert session.store.stats.hashed_nodes > 0
 
     def test_warm_store_answers_locally(self):
-        store = ExprStore()
+        """A store whose summary memo knows the items -- warmed through
+        ``hash_expr``, or restored from a snapshot -- answers the batch
+        without hashing a node; the batch verbs add nothing to warm."""
         corpus = mixed_corpus(30)
-        store.hash_corpus(corpus)
-        hashed_before = store.stats.hashed_nodes
-        result = store.hash_corpus(corpus)
-        assert result == ExprStore().hash_corpus(corpus)
-        # every corpus root was cached: nothing left to hash
-        assert store.stats.hashed_nodes == hashed_before
+        expected = ExprStore().hash_corpus(corpus)
+        warmed = ExprStore()
+        for expr in corpus:
+            warmed.hash_expr(expr)
+        source = ExprStore()
+        ids = [source.intern(expr) for expr in corpus]
+        loaded = snapshot_from_bytes(snapshot_to_bytes(source))[0]
+        for store, items in (
+            (warmed, corpus),
+            (loaded, [loaded.expr_of(i) for i in ids]),
+        ):
+            hashed_before = store.stats.hashed_nodes
+            assert store.hash_corpus(items) == expected
+            # every corpus root was cached: nothing left to hash
+            assert store.stats.hashed_nodes == hashed_before
+        cold = ExprStore()
+        cold.hash_corpus(corpus)
+        assert cold._memo == {}
 
     def test_worker_counters_fold_into_store(self):
         """The arena work is counted in the store: one hashed node per

@@ -2,6 +2,7 @@
 save/load, including the CLI ``repro session`` verb."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -296,6 +297,20 @@ class TestSessionCLI:
         assert main(["session", *corpus_files, "--stats"]) == 0
         last = json.loads(capsys.readouterr().out.splitlines()[-1])
         assert last["backend"] == "ours" and last["entries"] > 0
+
+    @pytest.mark.parametrize("backend", ["ours", "debruijn"])
+    def test_session_compiles_corpus_once(self, capsys, corpus_files, backend):
+        """The known flags need canonical hashes before the intern: one
+        flatten and one kernel pass serve both, so ``hashed_nodes``
+        counts each unique arena node once."""
+        from repro.core.arena import flatten_corpus
+
+        argv = ["session", *corpus_files, "--stats", "--backend", backend]
+        assert main(argv) == 0
+        stats = json.loads(capsys.readouterr().out.splitlines()[-1])
+        corpus = [parse(Path(path).read_text()) for path in corpus_files]
+        unique = len(flatten_corpus(corpus)[0])
+        assert stats["store"]["hashed_nodes"] == unique
 
     def test_session_backend_flag(self, capsys, corpus_files):
         assert main(["session", *corpus_files, "--backend", "structural"]) == 0

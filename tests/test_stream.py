@@ -217,6 +217,21 @@ class TestStreamSessionSurface:
                 with pytest.raises(TypeError):
                     stream.edit(0, (), "not an expr")
 
+    def test_open_compiles_corpus_once(self):
+        """Opening hashes the roots and interns them from one arena
+        compile; the roots are still bit-identical to the oracle."""
+        from repro.core.arena import flatten_corpus
+
+        corpus = build_corpus(3, seed=85, size=60)
+        with Session() as session:
+            with session.open_stream(corpus) as stream:
+                assert stream.root_hashes == [
+                    alpha_hash_all(expr).root_hash for expr in corpus
+                ]
+                assert session.store.stats.hashed_nodes == len(
+                    flatten_corpus(corpus)[0]
+                )
+
     def test_report_shape_and_sharing(self):
         corpus = build_corpus(2, seed=83, size=40)
         with Session() as session:
